@@ -9,11 +9,13 @@ these invariants implicitly; a *new* backend registered through
 :mod:`repro.core.transport.registry` can silently violate them and still
 produce a plausible-looking simulation result.
 
-:class:`Sanitizer` is a zero-overhead-when-off checker wired into the
-verbs objects (:mod:`repro.verbs.qp` / ``cq`` / ``memory``), the buffer
-layer and the transport runtime.  Every hook site guards with
-``if sanitizer is not None`` on an attribute that defaults to ``None``,
-so an unsanitized run executes exactly the code it executed before.
+:class:`Sanitizer` is a subscriber of the fabric's probe bus
+(:mod:`repro.telemetry.probes`): its ``on_<point>`` methods observe the
+work-request, completion-queue, memory-region, buffer, credit and ring
+points emitted by the verbs objects (:mod:`repro.verbs.qp` / ``cq`` /
+``memory``), the buffer layer and the transport runtime.  While no
+sanitizer is attached every point holds ``None``, so an unsanitized run
+executes one attribute load and one branch per site and nothing else.
 
 Checks **observe, never perturb**: no hook yields, charges simulated
 time, or touches a metrics counter, so simulated end times and telemetry
@@ -30,14 +32,13 @@ Enable with :meth:`repro.cluster.Cluster.enable_sanitizer` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "ProtocolViolationError",
     "RUNTIME_RULES",
     "Sanitizer",
     "Violation",
-    "attach_sanitizer",
 ]
 
 #: runtime rule catalogue: rule id -> what a report of it means.
@@ -93,6 +94,15 @@ class Violation:
                 f"{self.message}")
 
 
+def render_report(violations: List[Violation]) -> str:
+    """Human-readable summary of ``violations``."""
+    if not violations:
+        return "sanitizer: clean (0 violations)"
+    lines = [f"sanitizer: {len(violations)} violation(s)"]
+    lines.extend(f"  {v}" for v in violations)
+    return "\n".join(lines)
+
+
 def _buffer_like(obj: Any) -> bool:
     """Registered-buffer duck test: owned by an MR, at a fixed address.
 
@@ -114,8 +124,9 @@ def _wr_id_buffers(ref: Any) -> Tuple[Any, ...]:
 
 
 class Sanitizer:
-    """Collects protocol violations from the hooks wired through the
-    verbs layer and the transport runtime.
+    """Collects protocol violations from the probe points of the verbs
+    layer and the transport runtime (attach with ``fabric.probes.attach``
+    or :meth:`~repro.cluster.Cluster.enable_sanitizer`).
 
     One instance watches one simulation (one :class:`~repro.cluster.Cluster`).
     All state is plain Python bookkeeping keyed by ``(node_id, addr)`` —
@@ -142,68 +153,61 @@ class Sanitizer:
         """Record one violation (never perturbs simulated time)."""
         violation = Violation(rule, message, node_id, self.sim.now, details)
         self.violations.append(violation)
-        if self.telemetry is not None and node_id >= 0:
-            self.telemetry.tracer.instant(
-                node_id, "sanitizer", rule, cat="sanitizer",
-                args={"message": message})
+        tracer = getattr(self.telemetry, "tracer", None)
+        if tracer is not None and node_id >= 0:
+            tracer.instant(node_id, "sanitizer", rule, cat="sanitizer",
+                           args={"message": message})
         if self.strict:
             raise ProtocolViolationError(str(violation))
 
     def report(self) -> str:
         """Human-readable summary of every recorded violation."""
-        if not self.violations:
-            return "sanitizer: clean (0 violations)"
-        lines = [f"sanitizer: {len(self.violations)} violation(s)"]
-        lines.extend(f"  {v}" for v in self.violations)
-        return "\n".join(lines)
+        return render_report(self.violations)
 
     def assert_clean(self) -> None:
         """Raise :class:`ProtocolViolationError` if anything was recorded."""
         if self.violations:
             raise ProtocolViolationError(self.report())
 
-    # -- verbs hooks: queue pairs ------------------------------------------
+    # -- verbs probes: queue pairs -----------------------------------------
 
-    def check_post_send(self, qp, wr) -> None:
-        """Pre-validation send check (records what post_send will reject,
-        plus protocol states the verbs layer itself tolerates)."""
+    def on_wr_post(self, qp, wr, error) -> None:
+        """A work request reached ``post_send``/``post_recv``.  ``error``
+        is the verbs layer's rejection (raised right after), or None.
+
+        Protocol states are flagged even when the verbs layer rejects
+        the WR; an accepted signaled WR (every Receive completes
+        signaled) puts its buffer in flight.
+        """
         from repro.verbs.constants import QPState, QPType
-        if qp.state is not QPState.RTS:
+        from repro.verbs.wr import RecvWR
+        bufs: Tuple[Any, ...] = ()
+        if isinstance(wr, RecvWR):
+            verb = "post_recv"
+            ready = qp.state in (QPState.INIT, QPState.RTS)
+            if _buffer_like(wr.buffer):
+                bufs = (wr.buffer,)
+        else:
+            verb = "post_send"
+            ready = qp.state is QPState.RTS
+            if ready and qp.qp_type is QPType.RC and qp.peer is None:
+                self.record(
+                    "qp-state", f"post_send on unconnected RC QP {qp.qpn}",
+                    node_id=qp.ctx.node_id, qpn=qp.qpn)
+            if wr.signaled:
+                bufs = ((wr.buffer,) if _buffer_like(wr.buffer)
+                        else _wr_id_buffers(wr.wr_id))
+        if not ready:
             self.record(
-                "qp-state",
-                f"post_send on QP {qp.qpn} in state {qp.state.name}",
+                "qp-state", f"{verb} on QP {qp.qpn} in state {qp.state.name}",
                 node_id=qp.ctx.node_id, qpn=qp.qpn, state=qp.state.name)
-        elif qp.qp_type is QPType.RC and qp.peer is None:
-            self.record(
-                "qp-state",
-                f"post_send on unconnected RC QP {qp.qpn}",
-                node_id=qp.ctx.node_id, qpn=qp.qpn)
-
-    def track_post_send(self, qp, wr) -> None:
-        """Post-validation: account the signaled WR's buffer in flight."""
-        if not wr.signaled:
+        if error is not None:
             return
-        buf = wr.buffer if _buffer_like(wr.buffer) else None
-        bufs = (buf,) if buf is not None else _wr_id_buffers(wr.wr_id)
         for tracked in bufs:
             key = (tracked.mr.node_id, tracked.addr)
             self._inflight[key] = self._inflight.get(key, 0) + 1
 
-    def check_post_recv(self, qp, wr) -> None:
-        from repro.verbs.constants import QPState
-        if qp.state not in (QPState.INIT, QPState.RTS):
-            self.record(
-                "qp-state",
-                f"post_recv on QP {qp.qpn} in state {qp.state.name}",
-                node_id=qp.ctx.node_id, qpn=qp.qpn, state=qp.state.name)
-
-    def track_post_recv(self, qp, wr) -> None:
-        """Receives always complete signaled; track the posted buffer."""
-        if _buffer_like(wr.buffer):
-            key = (wr.buffer.mr.node_id, wr.buffer.addr)
-            self._inflight[key] = self._inflight.get(key, 0) + 1
-
-    # -- verbs hooks: completion queues ------------------------------------
+    # -- verbs probes: completion queues -----------------------------------
 
     def on_cq_push(self, cq, wc) -> None:
         """Called before the CQ accepts ``wc`` (so overruns are seen even
@@ -222,7 +226,7 @@ class Sanitizer:
                     f"request in flight",
                     node_id=cq.node_id, addr=buf.addr, opcode=wc.opcode.name)
 
-    def on_cq_consumed(self, cq, wc) -> None:
+    def on_cq_consume(self, cq, wc) -> None:
         """Called when the application polls ``wc`` out of the CQ; the
         buffer becomes reusable."""
         for buf in _wr_id_buffers(wc.wr_id):
@@ -231,7 +235,7 @@ class Sanitizer:
             if count:  # untracked (posted before attach) stays untracked
                 self._inflight[key] = count - 1
 
-    # -- memory hooks ------------------------------------------------------
+    # -- memory probes -----------------------------------------------------
 
     def on_mr_error(self, mr, kind: str, addr: int) -> None:
         """A memory-region access the verbs layer is about to reject."""
@@ -253,9 +257,9 @@ class Sanitizer:
                 node_id=buf.mr.node_id, addr=buf.addr, op=op,
                 outstanding=outstanding)
 
-    # -- transport-runtime hooks -------------------------------------------
+    # -- transport-runtime probes ------------------------------------------
 
-    def on_credit_consumed(self, ep, conn) -> None:
+    def on_credit_consume(self, ep, conn) -> None:
         """Called after a send endpoint spent one credit on ``conn``."""
         if conn.sent > conn.credit:
             self.record(
@@ -265,12 +269,11 @@ class Sanitizer:
                 node_id=ep.ctx.node_id, endpoint=ep.endpoint_id,
                 dest=conn.node, sent=conn.sent, credit=conn.credit)
 
-    def on_credit_issued(self, conn, value: int, node_id: int = -1) -> None:
-        """Called when a receive endpoint advertises absolute credit
-        ``value`` on ``conn`` (credit word or credit datagram)."""
+    def on_credit_issue(self, conn, value: int, node_id: int) -> None:
+        """Called when a receive endpoint on ``node_id`` advertises
+        absolute credit ``value`` on ``conn`` (credit word or credit
+        datagram)."""
         if value > conn.posted:
-            if node_id < 0 and conn.qp is not None:
-                node_id = conn.qp.ctx.node_id
             self.record(
                 "credit-overgrant",
                 f"receiver advertised credit {value} to endpoint "
@@ -315,26 +318,3 @@ class Sanitizer:
                 f"{board.name} carried value {value:#x} the consumer "
                 f"never exposed (peer key {key!r})",
                 node_id=node, base=region_base, value=value, key=key)
-
-
-# -- wiring ----------------------------------------------------------------
-
-def attach_sanitizer(fabric, sanitizer: Sanitizer) -> Sanitizer:
-    """Wire ``sanitizer`` into every verbs object of ``fabric`` — existing
-    contexts, CQs and memory regions, plus (via the fabric attribute) any
-    created afterwards.  Idempotent."""
-    fabric.sanitizer = sanitizer
-    for ctx in fabric.verbs_contexts.values():
-        attach_context(ctx, sanitizer)
-    return sanitizer
-
-
-def attach_context(ctx, sanitizer: Optional[Sanitizer]) -> None:
-    """Wire one :class:`~repro.verbs.device.VerbsContext` (and everything
-    it already created) to ``sanitizer``."""
-    ctx.sanitizer = sanitizer
-    ctx.memory.sanitizer = sanitizer
-    for mr in ctx.memory.regions():
-        mr.sanitizer = sanitizer
-    for cq in ctx._cqs:
-        cq.sanitizer = sanitizer

@@ -137,7 +137,7 @@ class MPIRuntime:
 
         def proc():
             # NIC doorbell + WQE processing, then the wire.
-            yield self.node.nic.processor.occupy(self.net.nic_wr_ns)
+            yield self.node.nic.occupy_engine(self.net.nic_wr_ns)
             arrived = yield self.fabric.route(packet)
             MPIRuntime.get(self.ctx.peer_context(dest))._on_wire(arrived)
             done.succeed(arrived)

@@ -50,34 +50,47 @@ class Cluster:
     def enable_sanitizer(self, strict: bool = False):
         """Attach the runtime protocol sanitizer to this cluster.
 
-        Idempotent.  With ``strict=True`` the first violation raises
+        Idempotent; a conflicting ``strict`` raises :class:`ValueError`.
+        With ``strict=True`` the first violation raises
         :class:`~repro.analysis.sanitizer.ProtocolViolationError`; the
-        default records violations for inspection via
-        ``cluster.sanitizer.report()``.
+        default records violations for ``cluster.sanitizer.report()``.
         """
         if self.sanitizer is not None:
+            if self.sanitizer.strict != bool(strict):
+                raise ValueError(
+                    f"sanitizer already enabled with "
+                    f"strict={self.sanitizer.strict}; cannot re-enable "
+                    f"with strict={bool(strict)}")
             return self.sanitizer
         # Imported lazily: clusters that never sanitize pay nothing.
-        from repro.analysis.sanitizer import Sanitizer, attach_sanitizer
-        self.sanitizer = Sanitizer(self.sim, telemetry=self.telemetry,
-                                   strict=strict)
-        attach_sanitizer(self.fabric, self.sanitizer)
+        from repro.analysis.sanitizer import Sanitizer
+        self.sanitizer = self.fabric.probes.attach(
+            Sanitizer(self.sim, telemetry=self.telemetry,
+                      strict=bool(strict)))
         active = current_session()
         if active is not None:
             active.register_sanitizer(self.sanitizer)
         return self.sanitizer
 
     def enable_quotas(self, manager):
-        """Install a per-tenant resource arbiter on this cluster's fabric.
+        """Install a per-tenant resource arbiter (see
+        :class:`repro.service.QuotaManager`) on this cluster's probe bus.
 
-        ``manager`` is duck-typed (see :class:`repro.service.QuotaManager`):
-        the verbs layer calls its ``on_qp_created`` / ``on_qp_destroyed`` /
-        ``on_mr_registered`` / ``on_mr_deregistered`` hooks for every
-        tenant-tagged resource.  Idempotent for the same manager;
-        installing a different one replaces it.
+        Idempotent for the same manager.  A different one replaces it
+        only while no tenant holds QPs or registered memory; otherwise
+        :class:`ValueError` names the holders.
         """
-        self.quotas = manager
-        self.fabric.quotas = manager
+        if manager is self.quotas:
+            return manager
+        if self.quotas is not None:
+            holders = self.quotas.holders()
+            if holders:
+                raise ValueError(
+                    f"cannot replace the quota arbiter while tenants "
+                    f"{', '.join(repr(t) for t in holders)} still hold "
+                    f"QPs or registered memory")
+            self.fabric.probes.detach(self.quotas)
+        self.quotas = self.fabric.probes.attach(manager)
         return manager
 
     @property
@@ -124,17 +137,14 @@ class Cluster:
         self.sim.dispose()
 
     def enable_tracing(self, max_events: int = 500_000) -> Tracer:
-        """Record trace events for this cluster's run (Chrome trace JSON).
-
-        Call before building stages; export with
-        ``cluster.telemetry.tracer.export(path)``.
+        """Record trace events for this cluster's run (Chrome trace JSON);
+        export with ``cluster.telemetry.tracer.export(path)``.
         """
         return self.telemetry.enable_tracing(max_events=max_events)
 
     def enable_reporting(self, budget=None):
         """Record causal link records so :meth:`run_report` can attribute
-        this cluster's time (see repro.obs).  Idempotent; call before
-        building stages, like :meth:`enable_tracing`.
+        this cluster's time (see repro.obs).  Idempotent.
         """
         return self.telemetry.enable_links(budget=budget)
 

@@ -231,13 +231,10 @@ class _EndpointBase:
         """Emit a stall span on this endpoint's track if time elapsed."""
         waited = self.sim.now - t0
         if waited > 0:
-            self.ctx.tracer.complete(
-                self.ctx.node_id, f"ep{self.endpoint_id}", name, t0,
-                waited, "endpoint")
-            links = self.ctx.links
-            if links is not None:
-                links.stall(self.ctx.node_id, self.endpoint_id, name, t0,
-                            waited)
+            hook = self.ctx.probes.flow_stall
+            if hook is not None:
+                hook(self.ctx.node_id, self.endpoint_id, -1, name, t0,
+                     waited)
 
     def _charge_registration(self, nbytes: int):
         """Process fragment: charge memory pin+register time for ``nbytes``
@@ -386,17 +383,16 @@ class ReceiveEndpoint(_EndpointBase):
 
         The single receive-side instrumentation point: every transport
         routes arriving data through here, so message/byte accounting is
-        uniform across designs.  ``flow`` closes the causal DAG edge when
-        link recording is on: the flow's delivery time is stamped and the
-        buffer remembered, so a later credit return can name the data
-        message that freed it.
+        uniform across designs.  The ``flow_deliver`` probe closes the
+        causal DAG edge when link recording is on: the flow's delivery
+        time is stamped and the buffer remembered, so a later credit
+        return can name the data message that freed it.
         """
         self.messages_received += 1
         self.bytes_received += local.length
-        if flow:
-            links = self.ctx.links
-            if links is not None:
-                links.on_deliver(flow, local)
+        hook = self.ctx.probes.flow_deliver
+        if hook is not None:
+            hook(flow, local)
         self._inbox.put((DataState.MORE_DATA, src_endpoint, remote_addr,
                          local))
 

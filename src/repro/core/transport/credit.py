@@ -77,9 +77,9 @@ def post_credit_word(conn: PeerConnection, value: Optional[int] = None) -> None:
     """
     if value is None:
         value = conn.posted
-    san = conn.qp.ctx.sanitizer
-    if san is not None:
-        san.on_credit_issued(conn, value)
+    hook = conn.qp.probes.credit_issue
+    if hook is not None:
+        hook(conn, value, conn.qp.ctx.node_id)
     conn.qp.post_send(SendWR(
         wr_id=("credit", conn.endpoint), opcode=Opcode.WRITE,
         remote_addr=conn.credit_addr, value=value,
@@ -132,7 +132,7 @@ class RingBoard:
     non-zero value is routed to ``on_value(key, value)``."""
 
     __slots__ = ("mr", "cap", "base_by_key", "_regions", "_on_value",
-                 "_ep", "name", "validator")
+                 "name", "validator")
 
     @classmethod
     def model(cls, name: str, cap: int) -> RingModel:
@@ -158,7 +158,6 @@ class RingBoard:
         board = cls()
         board.cap = cap
         board._on_value = on_value
-        board._ep = ep
         board.name = name
         board.validator = validator
         count = max(1, len(keys)) if min_one else len(keys)
@@ -181,9 +180,9 @@ class RingBoard:
             return
         for lo, hi, key in self._regions:
             if lo <= addr < hi:
-                san = self._ep.ctx.sanitizer
-                if san is not None:
-                    san.on_ring_consume(self, lo, key, value)
+                hook = self.mr.probes.ring_consume
+                if hook is not None:
+                    hook(self, lo, key, value)
                 self._on_value(key, value)
                 return
 
@@ -234,9 +233,9 @@ class CreditDatagramPort:
         from repro.core.endpoint import Frame, FrameCarrier
         if value is None:
             value = conn.posted
-        san = self.ep.ctx.sanitizer
-        if san is not None:
-            san.on_credit_issued(conn, value, node_id=self.ep.ctx.node_id)
+        hook = self.ep.ctx.probes.credit_issue
+        if hook is not None:
+            hook(conn, value, self.ep.ctx.node_id)
         self._cursor += 1
         frame = Frame(kind="credit", src_endpoint=self.ep.endpoint_id,
                       credit=value)

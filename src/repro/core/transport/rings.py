@@ -126,9 +126,9 @@ def post_ring_write(qp, cursor: RingCursor, value: int, wr_id: Any) -> None:
     """Produce ``value`` into the remote circular queue behind ``cursor``
     by an inlined, unsignaled RDMA Write (the FreeArr/ValidArr and
     credit-word update primitive)."""
-    san = qp.ctx.sanitizer
-    if san is not None:
-        san.on_ring_produce(qp, cursor)
+    hook = qp.probes.ring_produce
+    if hook is not None:
+        hook(qp, cursor)
     qp.post_send(SendWR(
         wr_id=wr_id, opcode=Opcode.WRITE,
         remote_addr=cursor.next_slot(), value=value,

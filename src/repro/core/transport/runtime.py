@@ -126,9 +126,9 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
         send path must come through here so the sanitizer can observe
         credit underflow at the exact posting site."""
         conn.sent += 1
-        san = self.ctx.sanitizer
-        if san is not None:
-            san.on_credit_consumed(self, conn)
+        hook = self.ctx.probes.credit_consume
+        if hook is not None:
+            hook(self, conn)
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         # Per-call bookkeeping is serialized: this is the shared-endpoint
@@ -217,11 +217,9 @@ class CreditedReceiveEndpoint(RuntimeReceiveEndpoint):
             # Credit is issued strictly after the Receive is reposted and
             # amortized over credit_frequency Receives (§5.1.1).
             yield self._cpu(self.net.post_wr_ns)
-            links = self.ctx.links
-            if links is not None:
-                # Causal edge: the credit WR posted synchronously below is
-                # triggered by the data flow that occupied this buffer.
-                links.pending_trigger = links.buffer_flow(local)
+            hook = self.ctx.probes.credit_return
+            if hook is not None:
+                hook(local)
             self._return_credit(conn)
 
     # -- posting policy supplied by the design -----------------------------

@@ -11,6 +11,10 @@ The fabric is now three collaborating pieces:
 * this module — NIC attachment, delivery accounting, and the loss and
   jitter policy (what *unordered*/*lossy* mean).
 
+Each fabric owns the cluster's instrumentation bus
+(:class:`~repro.telemetry.probes.Probes`), shared by its NICs, verbs
+contexts and everything they create.
+
 The default ``SINGLE_SWITCH`` topology mirrors the paper's clusters:
 every node has one adapter plugged into a full-bisection switch, so
 contention only occurs at the sender's egress port and the receiver's
@@ -25,7 +29,7 @@ for failure testing and defaults to off.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fabric import routing
 from repro.fabric.config import ClusterConfig, NetworkConfig
@@ -34,6 +38,7 @@ from repro.fabric.packet import Packet, clone_for_member
 from repro.fabric.topology import Hop, Topology
 from repro.sim import Event, Simulator, fastpath, trains
 from repro.telemetry.core import Telemetry
+from repro.telemetry.probes import Probes
 
 __all__ = ["Node", "Fabric"]
 
@@ -68,9 +73,13 @@ class Fabric:
         self.sim = sim
         self.cluster = cluster
         self.config = cluster.network
+        #: the instrumentation bus every layer of this fabric emits on.
+        self.probes = Probes()
         self.nodes: List[Node] = [
             Node(sim, i, cluster.network) for i in range(cluster.num_nodes)
         ]
+        for node in self.nodes:
+            node.nic.probes = self.probes
         #: the live switch graph; owns trunk-port pipes and routes.
         self.topology = Topology(sim, cluster.topology, cluster.network,
                                  cluster.num_nodes)
@@ -89,19 +98,6 @@ class Fabric:
         #: verbs contexts register themselves here (node_id -> VerbsContext)
         #: so Queue Pairs can resolve their peers.
         self.verbs_contexts: dict = {}
-        #: runtime sanitizer; ``None`` unless Cluster.enable_sanitizer()
-        #: (or repro.analysis.sanitizer.attach_sanitizer) installed one.
-        self.sanitizer: Optional[Any] = None
-        #: per-tenant resource arbiter; ``None`` unless
-        #: Cluster.enable_quotas() installed one.  Duck-typed like the
-        #: sanitizer hook: the verbs layer calls ``on_qp_created`` /
-        #: ``on_qp_destroyed`` / ``on_mr_registered`` /
-        #: ``on_mr_deregistered`` without importing the service layer.
-        self.quotas: Optional[Any] = None
-        #: causal link recorder, mirrored here by Telemetry.enable_links()
-        #: so the routing walkers can record trunk occupancy without an
-        #: attribute chase; None keeps recording a single branch.
-        self.links = getattr(self.telemetry, "links", None)
         #: InfiniBand multicast groups: mgid -> set of (node_id, qpn)
         #: attached UD QPs.  The fabric replicates a single sender packet
         #: to every member at the last common switch, so the sender's

@@ -22,20 +22,24 @@ the QP context across a message's back-to-back packets, so per-packet
 touching would both be wrong and break the per-packet oracle's
 bit-identical cache-counter equivalence.
 
-When a :class:`~repro.telemetry.links.FlowRecorder` is installed on
-``self.links``, every occupancy interval is recorded with its base /
-cache-penalty / DMA-extra decomposition before entering the pipe.  The
-records are appended from the same positions on the generator and
-flat-callback paths (all NIC entry points below are shared by both), so
-recording cannot perturb event order.
+Instrumentation goes through the fabric's probe bus (``self.probes``,
+see :mod:`repro.telemetry.probes`): ``pipe_occupy`` fires before every
+occupancy of the three pipes with the pipe's pre-submit backlog end and
+the interval's base / cache-penalty / DMA-extra decomposition (the link
+recorder and the tracer subscribe), and ``qp_miss`` on every QP-context
+cache miss (the service's per-job miss attribution subscribes).  All NIC
+entry points below are shared by the generator and flat-callback paths,
+so the probes fire from the same positions on both and cannot perturb
+event order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim import Event, RatePipe, Simulator
+from repro.telemetry.probes import DETACHED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fabric.config import NetworkConfig
@@ -113,40 +117,51 @@ class NIC:
         #: cumulative processing-engine stall waiting on PCIe round trips
         #: for cold QP contexts (the Fig 10/11 degradation mechanism).
         self.pcie_stall_ns = 0
-        #: causal link recorder (repro.telemetry.links), installed by
-        #: Telemetry.enable_links(); None keeps the hot path branch-only.
-        self.links = None
-        #: optional per-QPN context-miss counter, installed by the service
-        #: layer for tenant attribution (QPNs are never reused, so misses
-        #: can be rolled up per job after the fact).  ``None`` keeps the
-        #: hot path a single branch.
-        self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
+        #: the fabric's probe bus (assigned by the owning Fabric).
+        self.probes = DETACHED
 
     def _qp_touch_penalty(self, qpn: int) -> int:
         if self.disable_qp_cache:
             return 0
         if self.qp_cache.touch(qpn):
             return 0
-        if self.qp_miss_by_qpn is not None:
-            self.qp_miss_by_qpn[qpn] = self.qp_miss_by_qpn.get(qpn, 0) + 1
+        hook = self.probes.qp_miss
+        if hook is not None:
+            hook(self.node_id, qpn)
         self.pcie_stall_ns += self.config.qp_cache_miss_ns
         return self.config.qp_cache_miss_ns
 
-    def _record_proc(self, penalty: int, extra_ns: int, flow: int) -> None:
-        busy_until = self.processor.busy_until
-        now = self.sim.now
-        start = busy_until if busy_until > now else now
-        self.links.pipe("proc", self.node_id, start, self.config.nic_wr_ns,
-                        penalty, extra_ns, max(0, busy_until - now), flow)
+    def _start_wr(self, qpn: int, extra_ns: int, flow: int) -> int:
+        """Touch ``qpn``'s context; returns the WR's processor time."""
+        penalty = self._qp_touch_penalty(qpn)
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("proc", self.node_id, self.processor.busy_until,
+                 self.config.nic_wr_ns, penalty, extra_ns, flow, 0)
+        return self.config.nic_wr_ns + penalty + extra_ns
 
-    def _record_link(self, kind: str, pipe: RatePipe, wire_bytes: int,
-                     penalty: int, flow: int) -> None:
-        busy_until = pipe.busy_until
-        now = self.sim.now
-        start = busy_until if busy_until > now else now
-        self.links.pipe(kind, self.node_id, start,
-                        pipe._serialization_ns(wire_bytes), penalty, 0,
-                        max(0, busy_until - now), flow)
+    def _start_tx(self, wire_bytes: int, flow: int, n_packets: int) -> None:
+        self.tx_messages += 1
+        self.tx_packets += n_packets
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("egress", self.node_id, self.egress.busy_until,
+                 self.egress._serialization_ns(wire_bytes), 0, 0, flow,
+                 wire_bytes)
+
+    def _start_rx(self, wire_bytes: int, qpn: int, flow: int,
+                  n_packets: int) -> int:
+        """Count the train and touch ``qpn``'s context; returns the miss
+        penalty the ingress pipe charges on top of serialization."""
+        self.rx_messages += 1
+        self.rx_packets += n_packets
+        penalty = self._qp_touch_penalty(qpn)
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("ingress", self.node_id, self.ingress.busy_until,
+                 self.ingress._serialization_ns(wire_bytes), penalty, 0,
+                 flow, wire_bytes)
+        return penalty
 
     def process_wr(self, qpn: int, extra_ns: int = 0, flow: int = 0) -> Event:
         """Occupy the processing engine for one work request on ``qpn``.
@@ -154,18 +169,21 @@ class NIC:
         Returns the event fired when the NIC has finished processing (the
         point at which the message starts serializing onto the wire).
         """
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_proc(penalty, extra_ns, flow)
-        return self.processor.occupy(self.config.nic_wr_ns + penalty + extra_ns)
+        return self.processor.occupy(self._start_wr(qpn, extra_ns, flow))
+
+    def occupy_engine(self, duration_ns: int) -> Event:
+        """Occupy the processing engine outside any QP (MPI doorbells);
+        not a work request, so ``pipe_occupy`` carries flow ``None``."""
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("proc", self.node_id, self.processor.busy_until,
+                 duration_ns, 0, 0, None, 0)
+        return self.processor.occupy(duration_ns)
 
     def transmit(self, wire_bytes: int, flow: int = 0,
                  n_packets: int = 1) -> Event:
         """Serialize a train of ``wire_bytes`` onto the outbound link."""
-        self.tx_messages += 1
-        self.tx_packets += n_packets
-        if self.links is not None:
-            self._record_link("egress", self.egress, wire_bytes, 0, flow)
+        self._start_tx(wire_bytes, flow, n_packets)
         return self.egress.transmit_train(wire_bytes, n_packets)
 
     def receive(self, wire_bytes: int, qpn: int, flow: int = 0,
@@ -179,43 +197,27 @@ class NIC:
         NIC holds it across the message's back-to-back packets), so the
         miss penalty rides on the train as a whole.
         """
-        self.rx_messages += 1
-        self.rx_packets += n_packets
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_link("ingress", self.ingress, wire_bytes, penalty,
-                              flow)
+        penalty = self._start_rx(wire_bytes, qpn, flow, n_packets)
         return self.ingress.transmit_train(wire_bytes, n_packets,
                                            extra_ns=penalty)
 
     def submit_wr(self, qpn: int, func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
         """Hot-path twin of :meth:`process_wr`."""
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_proc(penalty, extra_ns, flow)
-        self.processor.submit_occupy(
-            self.config.nic_wr_ns + penalty + extra_ns, func)
+        self.processor.submit_occupy(self._start_wr(qpn, extra_ns, flow),
+                                     func)
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
                   flow: int = 0, n_packets: int = 1) -> None:
         """Hot-path twin of :meth:`transmit`: run ``func()`` at completion
         instead of returning an event (see :meth:`RatePipe.submit`)."""
-        self.tx_messages += 1
-        self.tx_packets += n_packets
-        if self.links is not None:
-            self._record_link("egress", self.egress, wire_bytes, 0, flow)
+        self._start_tx(wire_bytes, flow, n_packets)
         self.egress.submit_train(wire_bytes, n_packets, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
                   func: "Callable[[], None]", flow: int = 0,
                   n_packets: int = 1) -> None:
         """Hot-path twin of :meth:`receive`."""
-        self.rx_messages += 1
-        self.rx_packets += n_packets
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_link("ingress", self.ingress, wire_bytes, penalty,
-                              flow)
+        penalty = self._start_rx(wire_bytes, qpn, flow, n_packets)
         self.ingress.submit_train(wire_bytes, n_packets, func,
                                   extra_ns=penalty)

@@ -32,8 +32,8 @@ egress, trunk ports, ingress — is charged with ``packet.n_packets``
 MTU packets' worth of serialization in one event (or, under the
 ``REPRO_TRAINS=0`` oracle, one tick per MTU boundary; see
 :mod:`repro.sim.trains`).  Delivery accounting, loss draws, jitter
-draws and trunk links records all stay per *message*: exactly one per
-train, from the same code positions in both modes.
+draws and trunk ``pipe_occupy`` probes all stay per *message*: exactly
+one per train, from the same code positions in both modes.
 """
 
 from __future__ import annotations
@@ -50,20 +50,13 @@ __all__ = ["flat_route", "proc_route", "flat_leg", "proc_leg"]
 Terminal = Optional[Callable[[], None]]
 
 
-def _record_trunk(fabric, port, packet: Packet) -> None:
-    """Record one trunk-port occupancy for the critical-path analyzer.
-
-    Called from the same position on both walkers, immediately before the
-    pipe entry, so the pre-submit ``busy_until`` read gives the interval
-    start and the queueing delay without touching simulation state.
-    """
+def _probe_trunk(hook, port, packet: Packet) -> None:
+    """``pipe_occupy`` for one trunk-port occupancy, emitted from the same
+    position on both walkers, right before the pipe entry."""
     pipe = port.pipe
-    busy_until = pipe.busy_until
-    now = fabric.sim.now
-    start = busy_until if busy_until > now else now
-    fabric.links.pipe("trunk", port.name, start,
-                      pipe._serialization_ns(packet.wire_bytes), 0, 0,
-                      max(0, busy_until - now), packet.flow)
+    hook("trunk", port, pipe.busy_until,
+         pipe._serialization_ns(packet.wire_bytes), 0, 0, packet.flow,
+         packet.wire_bytes)
 
 
 class _HopWalk:
@@ -112,8 +105,9 @@ class _HopWalk:
         if hop.port is None:
             self._forward()
         else:
-            if self.fabric.links is not None:
-                _record_trunk(self.fabric, hop.port, self.packet)
+            hook = self.fabric.probes.pipe_occupy
+            if hook is not None:
+                _probe_trunk(hook, hop.port, self.packet)
             hop.port.pipe.submit_train(self.packet.wire_bytes,
                                        self.packet.n_packets, self._forward)
 
@@ -248,8 +242,9 @@ def _proc_walk(fabric, packet: Packet, hops: Sequence[Hop],
             latency += rng.randrange(config.ud_jitter_ns)
         assert type(latency) is int, "hop latency must be integer ns"
         if hop.port is not None:
-            if fabric.links is not None:
-                _record_trunk(fabric, hop.port, packet)
+            hook = fabric.probes.pipe_occupy
+            if hook is not None:
+                _probe_trunk(hook, hop.port, packet)
             yield hop.port.pipe.transmit_train(packet.wire_bytes,
                                                packet.n_packets)
         yield sim.timeout(latency)

@@ -55,9 +55,9 @@ class Buffer:
             )
         if length < 0:
             raise ValueError(f"negative payload length: {length}")
-        san = self.mr.sanitizer
-        if san is not None:
-            san.on_buffer_write(self, "fill")
+        hook = self.mr.probes.buffer_write
+        if hook is not None:
+            hook(self, "fill")
         self.payload = payload
         self.length = length
         self.mr.set_object(self.addr, payload)
@@ -66,18 +66,19 @@ class Buffer:
         """NIC-side unwrap of an *arriving* message into this buffer.
 
         Unlike :meth:`fill` this is the completion of an operation the
-        application already posted the buffer for, so it is exempt from
-        the buffer-reuse sanitizer check and does not republish the
-        payload at the buffer's address (the remote side owns the data).
+        application already posted the buffer for, so it fires no
+        ``buffer_write`` probe (the buffer-reuse sanitizer check) and does
+        not republish the payload at the buffer's address (the remote
+        side owns the data).
         """
         self.payload = payload
         self.length = length
 
     def reset(self) -> None:
         """Clear the buffer for reuse."""
-        san = self.mr.sanitizer
-        if san is not None:
-            san.on_buffer_write(self, "reset")
+        hook = self.mr.probes.buffer_write
+        if hook is not None:
+            hook(self, "reset")
         self.payload = None
         self.length = 0
         if self._meta:

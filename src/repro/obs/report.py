@@ -65,8 +65,10 @@ def build_run_report(telemetry, t0: int = 0,
         if flow.kind in _LATENCY_KINDS and flow.delivered_ns is not None
     ]
     snapshot = telemetry.snapshot()
+    from repro.analysis.sanitizer import Sanitizer
     fabric = getattr(telemetry, "_fabric", None)
-    sanitizer = getattr(fabric, "sanitizer", None)
+    sanitizer = (fabric.probes.attached(Sanitizer)
+                 if fabric is not None else None)
     if sanitizer is None:
         sanitizer_summary: Dict[str, Any] = {"attached": False,
                                              "violations": 0}

@@ -7,9 +7,9 @@ MQ-style design can create O(n·t) Queue Pairs and thrash the cache for
 everyone (the Fig 10/11 degradation mechanism, now cross-tenant).  The
 :class:`QuotaManager` makes that arbitration explicit:
 
-* it is installed on the fabric via ``Cluster.enable_quotas()`` and
-  called by the verbs layer (duck-typed, like the sanitizer hook) for
-  every tenant-tagged QP creation/destruction and MR (de)registration;
+* ``Cluster.enable_quotas()`` subscribes it to the fabric's probe bus
+  (:mod:`repro.telemetry.probes`), so it sees every tenant-tagged QP
+  creation/destruction and MR (de)registration of the verbs layer;
 * hard caps turn an over-budget creation into a
   :class:`QuotaExceededError` *at the verbs layer* — the backstop;
 * admission control uses :func:`estimate_footprint` — a deliberately
@@ -20,7 +20,7 @@ everyone (the Fig 10/11 degradation mechanism, now cross-tenant).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.designs import Design
 from repro.core.endpoint import EndpointConfig
@@ -111,10 +111,15 @@ class QuotaManager:
             return False
         return True
 
-    # -- verbs-layer hooks (duck-typed; see repro.verbs.device) -------------
+    def holders(self) -> List[str]:
+        """Tenants that still hold QPs or registered memory."""
+        return [tenant for tenant, account in sorted(self._usage.items())
+                if account.qps or account.registered_bytes]
 
-    def on_qp_created(self, node_id: int, tenant: Optional[str],
-                      qp: Any) -> None:
+    # -- probe subscriptions (see repro.telemetry.probes) -------------------
+
+    def on_qp_create(self, node_id: int, tenant: Optional[str],
+                     qp: Any) -> None:
         if tenant is None:
             return
         quota = self.quota(tenant)
@@ -127,14 +132,14 @@ class QuotaManager:
         account.qps += 1
         account.peak_qps = max(account.peak_qps, account.qps)
 
-    def on_qp_destroyed(self, node_id: int, tenant: Optional[str],
-                        qp: Any) -> None:
+    def on_qp_destroy(self, node_id: int, tenant: Optional[str],
+                      qp: Any) -> None:
         if tenant is None:
             return
         self.usage(tenant).qps -= 1
 
-    def on_mr_registered(self, node_id: int, tenant: Optional[str],
-                         mr: Any) -> None:
+    def on_mr_reg(self, node_id: int, tenant: Optional[str],
+                  mr: Any) -> None:
         if tenant is None:
             return
         quota = self.quota(tenant)
@@ -150,8 +155,8 @@ class QuotaManager:
         account.peak_registered_bytes = max(
             account.peak_registered_bytes, account.registered_bytes)
 
-    def on_mr_deregistered(self, node_id: int, tenant: Optional[str],
-                           mr: Any) -> None:
+    def on_mr_dereg(self, node_id: int, tenant: Optional[str],
+                    mr: Any) -> None:
         if tenant is None:
             return
         self.usage(tenant).registered_bytes -= mr.length

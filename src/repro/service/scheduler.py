@@ -167,10 +167,10 @@ class ShuffleService:
         #: every QPN a tenant's jobs ever created (QPNs are not reused,
         #: so per-job cache-miss attribution is exact after the fact).
         self._job_qpns: Dict[str, set] = {}
-        # Per-QPN context-miss attribution on every NIC.
-        for node in cluster.nodes:
-            if node.nic.qp_miss_by_qpn is None:
-                node.nic.qp_miss_by_qpn = {}
+        #: QP-context cache misses per QPN on every NIC, counted by the
+        #: ``qp_miss`` probe (QPNs are unique across the cluster).
+        self._misses_by_qpn: Dict[int, int] = {}
+        cluster.fabric.probes.subscribe("qp_miss", self._count_miss)
         cluster.telemetry.fabric_registry.register_callback(
             "service_tenants", self._telemetry_callback)
 
@@ -303,15 +303,15 @@ class ShuffleService:
         self.sim.process(self._run_job(job), name=f"job-{job.name}")
 
     def _record_decision(self, job: Job, plan: StagePlan) -> None:
-        """Policy-decision telemetry: a counter, job metadata, and a
-        trace instant on the scheduler track."""
+        """Policy-decision telemetry: a counter, job metadata, and the
+        ``stage_plan`` probe (a trace instant on the scheduler track
+        while tracing)."""
         self._decisions.inc()
         job.meta["design"] = plan.design
         job.meta["policy"] = self._policies[job.tenant.name].describe()
-        self.cluster.telemetry.tracer.instant(
-            0, "scheduler", "policy-decision",
-            args={"job": job.name, "design": plan.describe(),
-                  "reason": plan.reason})
+        hook = self.cluster.fabric.probes.stage_plan
+        if hook is not None:
+            hook(job.name, plan)
 
     def _run_job(self, job: Job):
         cluster = self.cluster
@@ -426,15 +426,12 @@ class ShuffleService:
                 return spec.bytes_per_job
         return 2 << 20
 
+    def _count_miss(self, node_id: int, qpn: int) -> None:
+        self._misses_by_qpn[qpn] = self._misses_by_qpn.get(qpn, 0) + 1
+
     def _misses_for(self, qpns) -> int:
-        total = 0
-        for node in self.cluster.nodes:
-            by_qpn = node.nic.qp_miss_by_qpn
-            if not by_qpn:
-                continue
-            total += sum(count for qpn, count in by_qpn.items()
-                         if qpn in qpns)
-        return total
+        return sum(count for qpn, count in self._misses_by_qpn.items()
+                   if qpn in qpns)
 
     # -- reporting ----------------------------------------------------------
 

@@ -212,26 +212,6 @@ class RatePipe:
         self.total_units: float = 0.0
         #: cumulative occupied time (drives utilization telemetry).
         self.busy_ns: int = 0
-        # Optional tracing hook, bound by repro.telemetry.  Because the
-        # pipe is FIFO-serial, its occupancy intervals never overlap and
-        # can be emitted as well-formed B/E span pairs.
-        self._tracer = None
-        self._trace_node = 0
-        self._trace_track = ""
-        self._trace_name = ""
-
-    def bind_trace(self, tracer, node_id: int, track: str, name: str) -> None:
-        """Record every occupancy interval as a span on ``node/track``."""
-        self._tracer = tracer
-        self._trace_node = node_id
-        self._trace_track = track
-        self._trace_name = name
-
-    def _trace_interval(self, start: int, duration: int, units: float) -> None:
-        self._tracer.span(
-            self._trace_node, self._trace_track, self._trace_name,
-            start, start + duration, cat="fabric",
-            args={"bytes": int(units)} if units else None)
 
     def _serialization_ns(self, units: float) -> int:
         cache = self._ser_cache
@@ -255,8 +235,6 @@ class RatePipe:
         self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
         event = Event(self.sim)
         event.succeed(delay=self._busy_until - self.sim.now)
         return event
@@ -273,8 +251,6 @@ class RatePipe:
         self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
         self.sim.call_later(self._busy_until - self.sim.now, func)
 
     def _packet_boundaries(self, start: int, ser_ns: int,
@@ -310,8 +286,6 @@ class RatePipe:
         self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
         if n_packets > 1 and self.split_packets:
             self._packet_boundaries(start, ser, n_packets)
         event = Event(self.sim)
@@ -329,8 +303,6 @@ class RatePipe:
         self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
         if n_packets > 1 and self.split_packets:
             self._packet_boundaries(start, ser, n_packets)
         self.sim.call_later(self._busy_until - self.sim.now, func)
@@ -341,8 +313,6 @@ class RatePipe:
         duration = int(duration_ns)
         self._busy_until = start + duration
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, 0)
         event = Event(self.sim)
         event.succeed(delay=self._busy_until - self.sim.now)
         return event
@@ -354,8 +324,6 @@ class RatePipe:
         duration = int(duration_ns)
         self._busy_until = start + duration
         self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, 0)
         self.sim.call_later(self._busy_until - self.sim.now, func)
 
     @property

@@ -14,6 +14,8 @@ stack (sim kernel, NIC, fabric, verbs, shuffle endpoints):
   plus a fabric-wide one), owned by :class:`~repro.cluster.Cluster`.
 * :class:`TelemetrySession` — cross-cluster collection for the
   ``repro-bench --metrics/--trace`` flags.
+* :class:`Probes` — the per-fabric probe bus every optional observer
+  (tracer, link recorder, sanitizer, quotas) subscribes to.
 
 See the "Observability" sections of README.md and DESIGN.md.
 """
@@ -36,6 +38,7 @@ from repro.telemetry.metrics import (
     latency_summary,
     percentile,
 )
+from repro.telemetry.probes import Probes
 from repro.telemetry.session import (
     TelemetrySession,
     current_session,
@@ -43,7 +46,7 @@ from repro.telemetry.session import (
     format_digest,
     session,
 )
-from repro.telemetry.trace import NULL_TRACER, NullTracer, TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer
 
 __all__ = [
     "Counter",
@@ -55,9 +58,8 @@ __all__ = [
     "percentile",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTracer",
+    "Probes",
     "NULL_REGISTRY",
-    "NULL_TRACER",
     "Telemetry",
     "TelemetrySession",
     "TraceBudget",

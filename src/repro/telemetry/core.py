@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.telemetry.links import FlowRecorder
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.telemetry.trace import NULL_TRACER, TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -64,14 +64,14 @@ class Telemetry:
     """
 
     def __init__(self, sim: "Simulator", num_nodes: int,
-                 enabled: Optional[bool] = None,
-                 tracer: Optional[Tracer] = None):
+                 enabled: Optional[bool] = None):
         if enabled is None:
             enabled = _ENABLED
         self.sim = sim
         self.num_nodes = num_nodes
         self.enabled = enabled
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: the live tracer; None until enable_tracing().
+        self.tracer: Optional[Tracer] = None
         if enabled:
             self.fabric_registry = MetricsRegistry("fabric")
             self._node_registries: Dict[int, MetricsRegistry] = {
@@ -82,8 +82,8 @@ class Telemetry:
             self._node_registries = {}
         self._fabric = None
         self._endpoints: List[Any] = []
-        #: causal link recorder (repro.obs substrate); None keeps every
-        #: instrumentation site a single is-None branch.
+        #: causal link recorder (repro.obs substrate); None until
+        #: enable_links().
         self.links: Optional[FlowRecorder] = None
 
     # -- access ------------------------------------------------------------
@@ -106,12 +106,12 @@ class Telemetry:
     # -- wiring ------------------------------------------------------------
 
     def attach_fabric(self, fabric) -> None:
-        """Bind to the fabric whose nodes this object observes."""
+        """Bind to ``fabric``; subscribe what is enabled so far."""
         self._fabric = fabric
-        if self.tracer is not NULL_TRACER:
-            self._wire_pipes()
+        if self.tracer is not None:
+            self._subscribe_tracer(self.tracer)
         if self.links is not None:
-            self._wire_links()
+            fabric.probes.attach(self.links)
 
     def register_endpoint(self, endpoint) -> None:
         """Called by endpoint constructors so stalls/skew can be harvested."""
@@ -121,18 +121,18 @@ class Telemetry:
     def enable_tracing(self, max_events: int = 500_000,
                        budget: Optional[TraceBudget] = None,
                        pid_base: int = 0, label: str = "") -> Tracer:
-        """Start recording trace events; returns the live tracer.
-
-        Call before building endpoints/stages — components capture the
-        tracer when constructed; NIC pipes are rewired here.
-        """
-        self.tracer = Tracer(
+        """Start recording trace events; returns the live tracer (a
+        fresh one replaces any earlier tracer)."""
+        old = self.tracer
+        tracer = self.tracer = Tracer(
             self.sim,
             budget=budget if budget is not None else TraceBudget(max_events),
             pid_base=pid_base, label=label)
         if self._fabric is not None:
-            self._wire_pipes()
-        return self.tracer
+            if old is not None:
+                self._fabric.probes.detach(old)
+            self._subscribe_tracer(tracer)
+        return tracer
 
     def enable_links(self, budget: Optional[TraceBudget] = None
                      ) -> FlowRecorder:
@@ -145,32 +145,18 @@ class Telemetry:
         if self.links is None:
             self.links = FlowRecorder(self.sim, budget=budget)
             if self._fabric is not None:
-                self._wire_links()
+                self._fabric.probes.attach(self.links)
         return self.links
 
-    def _wire_links(self) -> None:
-        self._fabric.links = self.links
-        for node in self._fabric.nodes:
-            node.nic.links = self.links
-
-    def _wire_pipes(self) -> None:
-        for node in self._fabric.nodes:
-            nic = node.nic
-            nic.egress.bind_trace(self.tracer, node.id, "egress", "tx")
-            nic.ingress.bind_trace(self.tracer, node.id, "ingress", "rx")
-            nic.processor.bind_trace(self.tracer, node.id, "nicproc", "wr")
+    def _subscribe_tracer(self, tracer: Tracer) -> None:
         # Switches trace as pseudo-nodes after the real ones: one pid
         # per switch, one thread per trunk port.
-        topology = getattr(self._fabric, "topology", None)
-        if topology is not None:
-            for switch in topology.switches:
-                if not switch.ports:
-                    continue
-                pseudo_node = self.num_nodes + switch.index
-                self.tracer.name_process(pseudo_node, switch.name)
-                for port in switch.ports:
-                    port.pipe.bind_trace(self.tracer, pseudo_node,
-                                         port.local_name, "fwd")
+        tracer.switch_base = self.num_nodes
+        for switch in self._fabric.topology.switches:
+            if switch.ports:
+                tracer.name_process(self.num_nodes + switch.index,
+                                    switch.name)
+        self._fabric.probes.attach(tracer)
 
     # -- harvesting --------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Causal link records: the raw material of the critical-path analyzer.
 
 The tracer answers "what happened when"; this module answers "what paid
-for what".  While a :class:`FlowRecorder` is installed (see
-``Telemetry.enable_links`` / ``Cluster.enable_reporting``), three kinds
-of record accumulate:
+for what".  While a :class:`FlowRecorder` is subscribed to the fabric's
+probe bus (see ``Telemetry.enable_links`` / ``Cluster.enable_reporting``
+and :mod:`repro.telemetry.probes`), three kinds of record accumulate:
 
 * **flows** — one per posted work request, forming the causal DAG: the
   ``prev`` edge chains WRs on the same QP (FIFO order), the ``trigger``
@@ -113,62 +113,85 @@ class FlowRecorder:
         self.stalls: List[StallInterval] = []
         #: set when the budget ran dry and records were dropped.
         self.truncated = False
-        #: one-shot trigger edge: set by the receive endpoint immediately
-        #: before returning credit; consumed by the next new_flow() on the
-        #: same synchronous call chain (release -> post credit -> post_send).
+        #: one-shot trigger edge: set by the ``credit_return`` probe right
+        #: before the receiver returns credit; consumed by the next flow
+        #: on the same synchronous call chain (release -> post_send).
         self.pending_trigger = 0
         self._next_flow = 1
         #: id(buffer) -> data flow last delivered into that buffer.
         self._buffer_flow: Dict[int, int] = {}
+        #: QPN -> last flow posted on it (the FIFO ``prev`` edge; QPNs
+        #: are never reused within a cluster).
+        self._last_flow: Dict[int, int] = {}
 
-    # -- flow DAG ----------------------------------------------------------
+    def _take(self) -> bool:
+        """Reserve one record from the budget; False (and truncated)
+        when it ran dry."""
+        if self.budget.take(1):
+            return True
+        self.truncated = True
+        return False
 
-    def new_flow(self, kind: str, src: int, dst: int, size: int,
-                 prev: int = 0) -> int:
-        """Allocate a flow id for a freshly posted WR; 0 when over budget."""
+    # -- probe subscriptions (see repro.telemetry.probes) -----------------
+
+    def on_wr_post(self, qp, wr, error) -> None:
+        """Stamp an accepted send WR with a new flow (0 over budget), of
+        the kind tagged in a tuple ``wr_id`` ("data", "credit"...), else
+        its opcode; both execution paths see identical ids."""
+        opcode = getattr(wr, "opcode", None)
+        if error is not None or opcode is None:  # rejected, or a Receive
+            return
         trigger = self.pending_trigger
         self.pending_trigger = 0
-        if not self.budget.take(1):
-            self.truncated = True
-            return 0
-        flow_id = self._next_flow
+        wr.flow = 0
+        if not self._take():
+            return
+        wid = wr.wr_id
+        if type(wid) is tuple and wid and isinstance(wid[0], str):
+            kind = wid[0]
+        else:
+            kind = str(opcode.value)
+        peer = qp.peer
+        dst = peer.node_id if peer is not None else max(wr.dest.node_id, 0)
+        flow = wr.flow = self._next_flow
         self._next_flow += 1
-        self.flows[flow_id] = FlowRecord(flow_id, kind, src, dst, size,
-                                         self.sim.now, prev, trigger)
-        return flow_id
+        self.flows[flow] = FlowRecord(
+            flow, kind, qp.ctx.node_id, dst, wr.length, self.sim.now,
+            self._last_flow.get(qp.qpn, 0), trigger)
+        self._last_flow[qp.qpn] = flow
 
-    def on_deliver(self, flow: int, buf=None) -> None:
+    def on_flow_deliver(self, flow: int, buf) -> None:
         """Stamp delivery time; remember which buffer now holds the flow."""
+        if not flow:
+            return
         record = self.flows.get(flow)
         if record is not None:
             record.delivered_ns = self.sim.now
-        if buf is not None:
-            self._buffer_flow[id(buf)] = flow
+        self._buffer_flow[id(buf)] = flow
 
-    def buffer_flow(self, buf) -> int:
-        """The data flow last delivered into ``buf`` (0 if unknown)."""
-        return self._buffer_flow.get(id(buf), 0)
+    def on_credit_return(self, buf) -> None:
+        """The next credit flow is triggered by the data flow that
+        occupied the freed ``buf``."""
+        self.pending_trigger = self._buffer_flow.get(id(buf), 0)
 
-    # -- intervals ---------------------------------------------------------
+    def on_flow_stall(self, node_id: int, ep_id: int, qpn: int, kind: str,
+                      start: int, duration: int) -> None:
+        if duration > 0 and self._take():
+            self.stalls.append(StallInterval(node_id, ep_id, kind, start,
+                                             duration))
 
-    def pipe(self, kind: str, owner, start: int, base_ns: int,
-             penalty_ns: int = 0, extra_ns: int = 0, waited_ns: int = 0,
-             flow: int = 0) -> None:
-        if not self.budget.take(1):
-            self.truncated = True
+    def on_pipe_occupy(self, kind: str, owner, busy_until: int,
+                       base_ns: int, penalty_ns: int, extra_ns: int, flow,
+                       nbytes: int) -> None:
+        if flow is None:  # not a work request (the MPI progress engine)
             return
-        self.pipes.append(PipeInterval(kind, owner, start, base_ns,
-                                       penalty_ns, extra_ns, waited_ns,
-                                       flow))
-
-    def stall(self, node: int, ep: int, kind: str, start: int,
-              duration: int) -> None:
-        if duration <= 0:
-            return
-        if not self.budget.take(1):
-            self.truncated = True
-            return
-        self.stalls.append(StallInterval(node, ep, kind, start, duration))
+        if kind == "trunk":
+            owner = owner.name
+        if self._take():
+            now = self.sim.now
+            self.pipes.append(PipeInterval(
+                kind, owner, max(busy_until, now), base_ns, penalty_ns,
+                extra_ns, max(0, busy_until - now), flow))
 
     # -- accounting --------------------------------------------------------
 

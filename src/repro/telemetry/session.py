@@ -146,13 +146,9 @@ class TelemetrySession:
 
     def sanitizer_report(self) -> str:
         """Human-readable summary of every violation seen so far."""
+        from repro.analysis.sanitizer import render_report
         pending = [v for s in self.sanitizers for v in s.violations]
-        found = list(self.violation_log) + pending
-        if not found:
-            return "sanitizer: clean (0 violations)"
-        lines = [f"sanitizer: {len(found)} violation(s)"]
-        lines.extend(f"  {violation}" for violation in found)
-        return "\n".join(lines)
+        return render_report(list(self.violation_log) + pending)
 
     @property
     def violation_count(self) -> int:

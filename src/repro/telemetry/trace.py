@@ -21,6 +21,11 @@ Two span styles are used deliberately:
   where operations on one track interleave freely) emits ``X``
   *complete* events carrying their own duration.
 
+A simulated cluster feeds its tracer through the fabric's probe bus
+(:mod:`repro.telemetry.probes`): the ``on_*`` methods below subscribe
+to the pipe-occupancy, stall, work-request-completion and stage-plan
+points, so nothing is formatted while tracing is off.
+
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
 produces a file a browser can still open; once exhausted, further events
@@ -35,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-__all__ = ["TraceBudget", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["TraceBudget", "Tracer"]
 
 
 class TraceBudget:
@@ -74,6 +79,9 @@ class Tracer:
         self._tids: Dict[Tuple[int, str], int] = {}
         self._pids: Dict[int, str] = {}
         self._next_tid = 1
+        #: node id of switch 0's pseudo-process (the cluster's node
+        #: count; see :meth:`name_process`).
+        self.switch_base = 0
 
     # -- identity ---------------------------------------------------------
 
@@ -140,24 +148,6 @@ class Tracer:
         self.events.append({"ph": "E", "pid": pid, "tid": tid, "name": name,
                             "cat": cat, "ts": end_ns / 1000.0})
 
-    def begin(self, node_id: int, track: str, name: str,
-              ts_ns: Optional[int] = None, cat: str = "",
-              args: Optional[dict] = None) -> None:
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        event = {"ph": "B", "pid": pid, "tid": self._tid(pid, track),
-                 "name": name, "cat": cat, "ts": ts / 1000.0}
-        if args:
-            event["args"] = args
-        self._emit(event)
-
-    def end(self, node_id: int, track: str, name: str,
-            ts_ns: Optional[int] = None, cat: str = "") -> None:
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        self._emit({"ph": "E", "pid": pid, "tid": self._tid(pid, track),
-                    "name": name, "cat": cat, "ts": ts / 1000.0})
-
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",
                 args: Optional[dict] = None) -> None:
@@ -169,13 +159,48 @@ class Tracer:
             event["args"] = args
         self._emit(event)
 
-    def counter(self, node_id: int, name: str, values: Dict[str, float],
-                ts_ns: Optional[int] = None) -> None:
-        """One sample of a ``C`` counter timeline (e.g. queue depth)."""
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        self._emit({"ph": "C", "pid": pid, "tid": 0, "name": name,
-                    "ts": ts / 1000.0, "args": dict(values)})
+    # -- probe subscriptions (see repro.telemetry.probes) -----------------
+
+    #: pipe kind -> (track, span name) of the NIC pipes.
+    _NIC_PIPES = {"proc": ("nicproc", "wr"), "egress": ("egress", "tx"),
+                  "ingress": ("ingress", "rx")}
+
+    def on_pipe_occupy(self, kind: str, owner, busy_until: int,
+                       base_ns: int, penalty_ns: int, extra_ns: int, flow,
+                       nbytes: int) -> None:
+        """A B/E span: NIC pipes on their node, trunk ports on their
+        switch's pseudo-node (``switch_base`` + switch index)."""
+        duration = base_ns + penalty_ns + extra_ns
+        if duration <= 0:
+            return
+        start = max(busy_until, self.sim.now)
+        if kind == "trunk":
+            node = self.switch_base + owner.switch.index
+            track, name = owner.local_name, "fwd"
+        else:
+            node = owner
+            track, name = self._NIC_PIPES[kind]
+        self.span(node, track, name, start, start + duration, cat="fabric",
+                  args={"bytes": nbytes} if nbytes else None)
+
+    def on_flow_stall(self, node_id: int, ep_id: int, qpn: int, kind: str,
+                      start: int, duration: int) -> None:
+        """Endpoint stalls on the endpoint track; receiver-not-ready
+        stalls (``ep_id < 0``) on the QP's track."""
+        track, cat = ((f"qp{qpn}", "verbs") if ep_id < 0
+                      else (f"ep{ep_id}", "endpoint"))
+        self.complete(node_id, track, kind, start, duration, cat)
+
+    def on_wr_complete(self, qp, wr, t0: int) -> None:
+        name = f"{qp.qp_type.name}-{wr.opcode.name}".lower()  # "rc-send"
+        self.complete(qp.ctx.node_id, f"qp{qp.qpn}", name, t0,
+                      self.sim.now - t0, "verbs", args={"bytes": wr.length})
+
+    def on_stage_plan(self, job_name: str, plan) -> None:
+        """The service's policy decision, on the scheduler track."""
+        self.instant(0, "scheduler", "policy-decision", self.sim.now,
+                     args={"job": job_name, "design": plan.describe(),
+                           "reason": plan.reason})
 
     # -- export -----------------------------------------------------------
 
@@ -206,40 +231,3 @@ class Tracer:
     def export(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh)
-
-
-class NullTracer:
-    """Discards everything; the default when tracing is not requested.
-
-    Instrumented code calls tracer methods unconditionally — the null
-    methods return immediately, keeping the disabled path branch-free.
-    """
-
-    __slots__ = ()
-
-    events: tuple = ()
-
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
-    def name_process(self, *args, **kwargs) -> None:
-        pass
-
-    def span(self, *args, **kwargs) -> None:
-        pass
-
-    def begin(self, *args, **kwargs) -> None:
-        pass
-
-    def end(self, *args, **kwargs) -> None:
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-
-#: the shared no-op tracer.
-NULL_TRACER = NullTracer()

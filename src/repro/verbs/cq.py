@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim import Event, Queue, Simulator
+from repro.telemetry.probes import DETACHED
 from repro.verbs.constants import Opcode, VerbsError, WCStatus
 
 __all__ = ["WorkCompletion", "CompletionQueue"]
@@ -66,8 +67,8 @@ class CompletionQueue:
         self._subscriber: Optional[Callable[[WorkCompletion], None]] = None
         self._pending: Deque[WorkCompletion] = deque()
         self._tick_scheduled = False
-        #: runtime sanitizer hook; ``None`` keeps the hot path branch-only.
-        self.sanitizer: Optional[Any] = None
+        #: the fabric's probe bus (assigned by VerbsContext.create_cq).
+        self.probes = DETACHED
         #: owning node, stamped by VerbsContext.create_cq for reporting.
         self.node_id = -1
 
@@ -87,8 +88,9 @@ class CompletionQueue:
 
     def push(self, wc: WorkCompletion) -> None:
         """Deposit a completion (called by the simulated NIC)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_push(self, wc)
+        hook = self.probes.cq_push
+        if hook is not None:
+            hook(self, wc)
         if len(self) >= self.depth:
             # A real adapter raises a fatal async "CQ overrun" event.
             raise VerbsError(f"CQ overrun (depth={self.depth})")
@@ -129,8 +131,9 @@ class CompletionQueue:
     def _tick(self) -> None:
         wc = self._pending.popleft()
         self.polled += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_consumed(self, wc)
+        hook = self.probes.cq_consume
+        if hook is not None:
+            hook(self, wc)
         self._subscriber(wc)  # type: ignore[misc]
         # Re-armed only now: the consumer's own scheduling must land
         # before the next delivery, as it does in the blocking-wait cycle.
@@ -150,9 +153,10 @@ class CompletionQueue:
                 break
             out.append(wc)
         self.polled += len(out)
-        if self.sanitizer is not None:
+        hook = self.probes.cq_consume
+        if hook is not None:
             for wc in out:
-                self.sanitizer.on_cq_consumed(self, wc)
+                hook(self, wc)
         return out
 
     def wait(self) -> Event:
@@ -170,5 +174,6 @@ class CompletionQueue:
 
     def _on_waited(self, event: Event) -> None:
         self.polled += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_consumed(self, event.value)
+        hook = self.probes.cq_consume
+        if hook is not None:
+            hook(self, event.value)

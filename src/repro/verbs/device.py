@@ -32,11 +32,11 @@ class VerbsContext:
         self.node = fabric.node(node_id)
         self.nic = self.node.nic
         self.config = fabric.config
+        #: the fabric's probe bus, shared with every QP, CQ and memory
+        #: region this context creates.
+        self.probes = fabric.probes
         self.memory = AddressSpace(node_id)
-        #: runtime sanitizer; inherited from the fabric so contexts created
-        #: after Cluster.enable_sanitizer() are covered automatically.
-        self.sanitizer = fabric.sanitizer
-        self.memory.sanitizer = self.sanitizer
+        self.memory.probes = self.probes
         self._qps: Dict[int, QueuePair] = {}
         self._cqs: List[CompletionQueue] = []
         self._qpn_counter = 0
@@ -46,26 +46,9 @@ class VerbsContext:
         fabric.verbs_contexts[node_id] = self
 
     @property
-    def quotas(self):
-        """The per-tenant resource arbiter, or None (dynamic: quotas may
-        be enabled on the fabric after this context was created)."""
-        return self.fabric.quotas
-
-    @property
     def telemetry(self):
-        """The cluster's telemetry bundle (dynamic: tracing may be
-        enabled on the fabric after this context was created)."""
+        """The cluster's telemetry bundle."""
         return self.fabric.telemetry
-
-    @property
-    def tracer(self):
-        return self.fabric.telemetry.tracer
-
-    @property
-    def links(self):
-        """The causal link recorder, or None (dynamic: reporting may be
-        enabled on the fabric after this context was created)."""
-        return self.fabric.links
 
     def dispose(self) -> None:
         """Break this context's QP<->CQ<->endpoint reference cycles.
@@ -94,7 +77,7 @@ class VerbsContext:
     def create_cq(self, depth: int = 4096) -> CompletionQueue:
         cq = CompletionQueue(self.sim, depth)
         cq.node_id = self.node_id
-        cq.sanitizer = self.sanitizer
+        cq.probes = self.probes
         self._cqs.append(cq)
         return cq
 
@@ -105,17 +88,17 @@ class VerbsContext:
         """``ibv_create_qp``.  Control-path time is charged by the caller
         (see :mod:`repro.verbs.cm`), keeping this immediate for tests.
 
-        ``tenant`` tags the QP for service-layer accounting; when a quota
-        arbiter is installed on the fabric it may refuse the creation by
-        raising, in which case the QP is rolled back before propagating.
+        ``tenant`` tags the QP for service-layer accounting; a
+        ``qp_create`` subscriber (the quota arbiter) may veto it by
+        raising, and the QP is rolled back before propagating.
         """
         qp = QueuePair(self, qp_type, send_cq, recv_cq,
                        max_send_wr, max_recv_wr)
         qp.tenant = tenant
-        quotas = self.fabric.quotas
-        if quotas is not None:
+        hook = self.probes.qp_create
+        if hook is not None:
             try:
-                quotas.on_qp_created(self.node_id, tenant, qp)
+                hook(self.node_id, tenant, qp)
             except Exception:
                 del self._qps[qp.qpn]
                 self.qps_created -= 1
@@ -132,9 +115,9 @@ class VerbsContext:
         qp.send_cq = None
         qp.recv_cq = None
         self.nic.qp_cache.evict(qp.qpn)
-        quotas = self.fabric.quotas
-        if quotas is not None:
-            quotas.on_qp_destroyed(self.node_id, qp.tenant, qp)
+        hook = self.probes.qp_destroy
+        if hook is not None:
+            hook(self.node_id, qp.tenant, qp)
 
     def release_cq(self, cq: CompletionQueue) -> None:
         """Drop a completion queue created by :meth:`create_cq`."""
@@ -170,15 +153,15 @@ class VerbsContext:
         """Register ``length`` bytes (immediate; no time charged).
 
         ``tenant`` tags the region for service-layer accounting; an
-        installed quota arbiter may refuse the registration by raising,
-        in which case the region is rolled back before propagating.
+        ``mr_reg`` subscriber (the quota arbiter) may veto it by raising,
+        and the region is rolled back before propagating.
         """
         mr = self.memory.register(length)
         mr.tenant = tenant
-        quotas = self.fabric.quotas
-        if quotas is not None:
+        hook = self.probes.mr_reg
+        if hook is not None:
             try:
-                quotas.on_mr_registered(self.node_id, tenant, mr)
+                hook(self.node_id, tenant, mr)
             except Exception:
                 self.memory.deregister(mr)
                 raise
@@ -198,9 +181,9 @@ class VerbsContext:
 
     def dereg_mr(self, mr: MemoryRegion) -> None:
         self.memory.deregister(mr)
-        quotas = self.fabric.quotas
-        if quotas is not None:
-            quotas.on_mr_deregistered(self.node_id, mr.tenant, mr)
+        hook = self.probes.mr_dereg
+        if hook is not None:
+            hook(self.node_id, mr.tenant, mr)
 
     def dereg_mr_timed(self, mr: MemoryRegion):
         """Process fragment: deregister memory, charging unpin time."""

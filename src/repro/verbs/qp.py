@@ -77,6 +77,7 @@ class QueuePair:
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
         self.qpn = ctx._assign_qpn(self)
+        self.probes = ctx.probes
         #: owning tenant (service-layer accounting); None outside the
         #: multi-tenant service.
         self.tenant: Optional[str] = None
@@ -97,10 +98,6 @@ class QueuePair:
         #: because the credit protocol exists to keep them at zero).
         self.rnr_events = 0
         self.rnr_stall_ns = 0
-        #: last flow id posted on this QP — the FIFO ``prev`` edge of the
-        #: causal DAG (repro.telemetry.links); only advanced while a
-        #: recorder is installed.
-        self._last_flow = 0
 
     # -- state transitions -------------------------------------------------
 
@@ -138,17 +135,16 @@ class QueuePair:
 
     def post_recv(self, wr: RecvWR) -> None:
         """``ibv_post_recv``: queue a receive buffer."""
-        san = self.ctx.sanitizer
-        if san is not None:
-            san.check_post_recv(self, wr)
+        error = None
         if self.state not in (QPState.INIT, QPState.RTS):
-            raise VerbsError(f"cannot post receive in state {self.state}")
-        if self._recv_posted >= self.max_recv_wr:
-            raise VerbsError(
-                f"receive queue full (max_recv_wr={self.max_recv_wr})"
-            )
-        if san is not None:
-            san.track_post_recv(self, wr)
+            error = f"cannot post receive in state {self.state}"
+        elif self._recv_posted >= self.max_recv_wr:
+            error = f"receive queue full (max_recv_wr={self.max_recv_wr})"
+        hook = self.probes.wr_post
+        if hook is not None:
+            hook(self, wr, error)
+        if error is not None:
+            raise VerbsError(error)
         self._recv_posted += 1
         self.recvs_posted += 1
         if self.qp_type is QPType.RC:
@@ -167,37 +163,14 @@ class QueuePair:
         Returns immediately (the verb is asynchronous); completion is
         reported through the send CQ if ``wr.signaled``.
         """
-        san = self.ctx.sanitizer
-        if san is not None:
-            san.check_post_send(self, wr)
-        if self.state is not QPState.RTS:
-            raise VerbsError(f"cannot post send in state {self.state}")
-        if self._send_outstanding >= self.max_send_wr:
-            raise VerbsError(f"send queue full (max_send_wr={self.max_send_wr})")
-        if self.qp_type is QPType.UD:
-            if wr.opcode is not Opcode.SEND:
-                raise VerbsError(
-                    "Unreliable Datagram supports only Send/Receive (§2.2.2)"
-                )
-            if wr.dest is None:
-                raise VerbsError("UD Send requires a destination address handle")
-            if wr.length > self.ctx.config.mtu:
-                raise VerbsError(
-                    f"UD message of {wr.length} B exceeds MTU "
-                    f"{self.ctx.config.mtu}"
-                )
-        else:
-            if self._peer is None:
-                raise VerbsError("RC QP is not connected")
-            if wr.length > MAX_RC_MSG:
-                raise VerbsError(f"RC message of {wr.length} B exceeds 1 GiB")
-        if san is not None:
-            san.track_post_send(self, wr)
+        error = self._send_error(wr)
+        hook = self.probes.wr_post
+        if hook is not None:
+            hook(self, wr, error)
+        if error is not None:
+            raise VerbsError(error)
         self._send_outstanding += 1
         self.sends_posted += 1
-        links = self.ctx.links
-        if links is not None:
-            wr.flow = self._new_flow(links, wr)
         # The hot path drives the per-message protocol as a flat callback
         # chain; the generator processes are the behavioural oracle behind
         # REPRO_FASTPATH=0 (see repro.sim.fastpath).  RDMA Read/Write stay
@@ -220,39 +193,40 @@ class QueuePair:
             proc = self._ud_send(wr)
         self.ctx.sim.process(proc, name=f"qp{self.qpn}-{wr.opcode.value}")
 
-    def _new_flow(self, links, wr: SendWR) -> int:
-        """Allocate a causal flow id for a freshly posted work request.
-
-        The flow kind is the endpoint-protocol tag carried in tuple
-        ``wr_id``\\ s ("data", "final", "credit", "read", "valid",
-        "free"...), falling back to the verb opcode.  Runs at post time,
-        before the fast/legacy dispatch split, so both execution paths
-        see identical ids.
-        """
-        wid = wr.wr_id
-        if type(wid) is tuple and wid and isinstance(wid[0], str):
-            kind = wid[0]
-        else:
-            kind = str(wr.opcode.value)
-        if self.qp_type is QPType.RC:
-            dst = self._peer.node_id
-        else:
-            dst = max(wr.dest.node_id, 0)
-        flow = links.new_flow(kind, self.ctx.node_id, dst, wr.length,
-                              prev=self._last_flow)
-        if flow:
-            self._last_flow = flow
-        return flow
+    def _send_error(self, wr: SendWR) -> Optional[str]:
+        """Why ``ibv_post_send`` must reject ``wr``, or None."""
+        if self.state is not QPState.RTS:
+            return f"cannot post send in state {self.state}"
+        if self._send_outstanding >= self.max_send_wr:
+            return f"send queue full (max_send_wr={self.max_send_wr})"
+        if self.qp_type is QPType.UD:
+            if wr.opcode is not Opcode.SEND:
+                return "Unreliable Datagram supports only Send/Receive (§2.2.2)"
+            if wr.dest is None:
+                return "UD Send requires a destination address handle"
+            if wr.length > self.ctx.config.mtu:
+                return (f"UD message of {wr.length} B exceeds MTU "
+                        f"{self.ctx.config.mtu}")
+        elif self._peer is None:
+            return "RC QP is not connected"
+        elif wr.length > MAX_RC_MSG:
+            return f"RC message of {wr.length} B exceeds 1 GiB"
+        return None
 
     # -- completion helpers ----------------------------------------------------
 
-    def _complete_send(self, wr: SendWR, byte_len: int) -> None:
+    def _complete_send(self, wr: SendWR, t0: int) -> None:
+        """Retire ``wr``, posted at ``t0``: free its send-queue slot and
+        push its completion if signaled."""
         self._send_outstanding -= 1
         if wr.signaled:
             self.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wr.opcode, byte_len=byte_len,
+                wr_id=wr.wr_id, opcode=wr.opcode, byte_len=wr.length,
                 qpn=self.qpn, flow=wr.flow,
             ))
+        hook = self.probes.wr_complete
+        if hook is not None:
+            hook(self, wr, t0)
 
     def _deposit(self, rwr: RecvWR, packet: Packet) -> None:
         """Copy an arriving message into the posted receive buffer."""
@@ -272,48 +246,63 @@ class QueuePair:
     # -- Reliable Connection data paths -----------------------------------------
 
     def _rc_send(self, wr: SendWR):
-        config = self.ctx.config
         nic = self.ctx.nic
         peer = self._peer
         assert peer is not None  # post_send validated the connection
         t0 = self.ctx.sim.now
         yield nic.process_wr(self.qpn, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="SEND",
-            length=wr.length, transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            meta={"imm": wr.imm}, flow=wr.flow,
-        )
-        packet = yield self.ctx.fabric.route(packet)
+        packet = yield self.ctx.fabric.route(
+            self._send_train(wr, peer.node_id, peer.qpn, "RC"))
         remote = self.ctx.peer_context(peer.node_id)
         remote_qp = remote.qp(peer.qpn)
         # Receiver-not-ready: stall until a Receive is posted.  (The
         # paper's credit protocol exists precisely so this never happens.)
         rnr_t0 = self.ctx.sim.now
         rwr = yield remote_qp._rc_recvs.get()
-        stalled = self.ctx.sim.now - rnr_t0
+        yield self.ctx.fabric.route(
+            self._rc_accept(wr, remote_qp, rwr, packet, rnr_t0))
+        self._complete_send(wr, t0)
+
+    def _rc_accept(self, wr: SendWR, remote_qp: "QueuePair", rwr: RecvWR,
+                   packet: Packet, rnr_t0: int) -> Packet:
+        """Deposit an arrived RC Send into the Receive it waited for since
+        ``rnr_t0`` (a receiver-not-ready stall if time passed); returns
+        the ack train."""
+        ctx = self.ctx
+        peer = self._peer
+        assert peer is not None  # post_send validated the connection
+        stalled = ctx.sim.now - rnr_t0
         if stalled:
             remote_qp.rnr_events += 1
             remote_qp.rnr_stall_ns += stalled
-            self.ctx.tracer.complete(
-                peer.node_id, f"qp{peer.qpn}", "rnr-stall",
-                rnr_t0, stalled, "verbs")
-            if self.ctx.links is not None:
-                self.ctx.links.stall(peer.node_id, -1, "rnr-stall",
-                                     rnr_t0, stalled)
+            hook = self.probes.flow_stall
+            if hook is not None:
+                hook(peer.node_id, -1, peer.qpn, "rnr-stall", rnr_t0,
+                     stalled)
         remote_qp._recv_posted -= 1
         remote_qp._deposit(rwr, packet)
-        ack = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
+        return self._ack_train(wr)
+
+    def _ack_train(self, wr: SendWR) -> Packet:
+        """The peer's hardware ack of an RC work request."""
+        peer = self._peer
+        assert peer is not None  # post_send validated the connection
+        return make_train(
+            self.ctx.config, src_node=peer.node_id, dst_node=self.ctx.node_id,
             src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-            length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
+            length=0, wire_bytes=self.ctx.config.rc_ack_bytes, flow=wr.flow,
         )
-        yield self.ctx.fabric.route(ack)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-send", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+
+    def _send_train(self, wr: SendWR, dst_node: int, dst_qpn: int,
+                    transport: str) -> Packet:
+        """The wire train carrying a Send work request."""
+        return make_train(
+            self.ctx.config, src_node=self.ctx.node_id, dst_node=dst_node,
+            src_qpn=self.qpn, dst_qpn=dst_qpn, kind="SEND",
+            length=wr.length, transport=transport,
+            payload=None if wr.buffer is None else wr.buffer.payload,
+            meta={"imm": wr.imm}, flow=wr.flow,
+        )
 
     def _rc_send_flat(self, wr: SendWR) -> None:
         """Flat-callback twin of :meth:`_rc_send`.
@@ -326,7 +315,6 @@ class QueuePair:
         """
         ctx = self.ctx
         sim = ctx.sim
-        config = ctx.config
         peer = self._peer
         assert peer is not None  # post_send validated the connection
         t0 = sim.now
@@ -335,14 +323,9 @@ class QueuePair:
             ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
         def after_wr() -> None:
-            packet = make_train(
-                config, src_node=ctx.node_id, dst_node=peer.node_id,
-                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="SEND",
-                length=wr.length, transport="RC",
-                payload=None if wr.buffer is None else wr.buffer.payload,
-                meta={"imm": wr.imm}, flow=wr.flow,
-            )
-            ctx.fabric.route(packet).add_callback(arrived)
+            ctx.fabric.route(
+                self._send_train(wr, peer.node_id, peer.qpn, "RC"),
+            ).add_callback(arrived)
 
         def arrived(arrival: Event) -> None:
             packet = arrival.value
@@ -354,33 +337,14 @@ class QueuePair:
             rnr_t0 = sim.now
 
             def got_recv(evt: Event) -> None:
-                rwr = evt.value
-                stalled = sim.now - rnr_t0
-                if stalled:
-                    remote_qp.rnr_events += 1
-                    remote_qp.rnr_stall_ns += stalled
-                    ctx.tracer.complete(
-                        peer.node_id, f"qp{peer.qpn}", "rnr-stall",
-                        rnr_t0, stalled, "verbs")
-                    if ctx.links is not None:
-                        ctx.links.stall(peer.node_id, -1, "rnr-stall",
-                                        rnr_t0, stalled)
-                remote_qp._recv_posted -= 1
-                remote_qp._deposit(rwr, packet)
-                ack = make_train(
-                    config, src_node=peer.node_id, dst_node=ctx.node_id,
-                    src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-                    length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-                )
-                ctx.fabric.route(ack).add_callback(acked)
+                ctx.fabric.route(self._rc_accept(
+                    wr, remote_qp, evt.value, packet, rnr_t0,
+                )).add_callback(acked)
 
             remote_qp._rc_recvs.get().add_callback(got_recv)
 
         def acked(_evt: Event) -> None:
-            self._complete_send(wr, wr.length)
-            ctx.tracer.complete(
-                ctx.node_id, f"qp{self.qpn}", "rc-send", t0,
-                sim.now - t0, "verbs", args={"bytes": wr.length})
+            self._complete_send(wr, t0)
 
         sim.call_soon(start)
 
@@ -409,10 +373,7 @@ class QueuePair:
         response = yield self.ctx.fabric.route(response)
         if wr.buffer is not None:
             wr.buffer.deposit(response.payload, wr.length)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-read", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+        self._complete_send(wr, t0)
 
     def _rc_write(self, wr: SendWR):
         config = self.ctx.config
@@ -437,34 +398,19 @@ class QueuePair:
             mr.write_u64(wr.remote_addr, wr.value)
         else:
             mr.set_object(wr.remote_addr, packet.payload)
-        ack = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-            length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-        )
-        yield self.ctx.fabric.route(ack)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-write", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+        yield self.ctx.fabric.route(self._ack_train(wr))
+        self._complete_send(wr, t0)
 
     # -- Unreliable Datagram data path ---------------------------------------
 
     def _ud_send(self, wr: SendWR):
         from repro.verbs.constants import MCAST_NODE
 
-        config = self.ctx.config
         dest = wr.dest
         assert dest is not None  # post_send validated the destination
         t0 = self.ctx.sim.now
         yield self.ctx.nic.process_wr(self.qpn, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=max(dest.node_id, 0),
-            src_qpn=self.qpn, dst_qpn=dest.qpn, kind="SEND",
-            length=wr.length, transport="UD",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            meta={"imm": wr.imm}, flow=wr.flow,
-        )
+        packet = self._send_train(wr, max(dest.node_id, 0), dest.qpn, "UD")
         egress_done = Event(self.ctx.sim)
         if dest.node_id == MCAST_NODE:
             # InfiniBand multicast: the switch replicates the datagram to
@@ -482,10 +428,7 @@ class QueuePair:
                 self._ud_deliver(arrival), name=f"qp{self.qpn}-ud-deliver")
         # No ack in UD: local completion once the NIC drained the buffer.
         yield egress_done
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "ud-send", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+        self._complete_send(wr, t0)
 
     def _ud_send_flat(self, wr: SendWR) -> None:
         """Flat-callback twin of :meth:`_ud_send` and its deliver helpers.
@@ -500,7 +443,6 @@ class QueuePair:
 
         ctx = self.ctx
         sim = ctx.sim
-        config = ctx.config
         dest = wr.dest
         assert dest is not None  # post_send validated the destination
         t0 = sim.now
@@ -509,13 +451,8 @@ class QueuePair:
             ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
         def after_wr() -> None:
-            packet = make_train(
-                config, src_node=ctx.node_id, dst_node=max(dest.node_id, 0),
-                src_qpn=self.qpn, dst_qpn=dest.qpn, kind="SEND",
-                length=wr.length, transport="UD",
-                payload=None if wr.buffer is None else wr.buffer.payload,
-                meta={"imm": wr.imm}, flow=wr.flow,
-            )
+            packet = self._send_train(wr, max(dest.node_id, 0), dest.qpn,
+                                      "UD")
             egress_done = Event(sim)
             if dest.node_id == MCAST_NODE:
                 fanout = ctx.fabric.route_mcast(
@@ -535,10 +472,7 @@ class QueuePair:
                 leg.add_callback(self._ud_deliver_flat)
 
         def complete(_evt: Event) -> None:
-            self._complete_send(wr, wr.length)
-            ctx.tracer.complete(
-                ctx.node_id, f"qp{self.qpn}", "ud-send", t0,
-                sim.now - t0, "verbs", args={"bytes": wr.length})
+            self._complete_send(wr, t0)
 
         sim.call_soon(start)
 
@@ -568,20 +502,5 @@ class QueuePair:
                 self._ud_deliver(leg), name=f"qp{self.qpn}-ud-mcast-leg")
 
     def _ud_deliver(self, arrival: Event):
-        packet = yield arrival
-        if packet.dropped:
-            return
-        remote = self.ctx.peer_context(packet.dst_node)
-        try:
-            remote_qp = remote.qp(packet.dst_qpn)
-        except VerbsError:
-            return  # destination QP vanished; datagram evaporates
-        if remote_qp.qp_type is not QPType.UD:
-            return
-        if not remote_qp._ud_recvs:
-            # No Receive posted: the datagram is silently dropped (§2.2.1).
-            remote_qp.ud_drops += 1
-            return
-        rwr = remote_qp._ud_recvs.popleft()
-        remote_qp._recv_posted -= 1
-        remote_qp._deposit(rwr, packet)
+        yield arrival
+        self._ud_deliver_flat(arrival)

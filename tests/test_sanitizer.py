@@ -13,10 +13,10 @@ Three guarantees, per design:
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR
-from repro.analysis import ProtocolViolationError
+from repro.analysis import ProtocolViolationError, Sanitizer
 from repro.bench import cli as bench_cli
 from repro.telemetry.session import session
-from repro.verbs import VerbsError
+from repro.verbs import Opcode, VerbsError, WorkCompletion
 
 from tests.test_determinism import DESIGN_NAMES
 from tests.test_endpoints import make_cluster, run_stage_query
@@ -54,24 +54,46 @@ class TestWiring:
     def test_off_by_default(self):
         cluster = make_cluster()
         assert cluster.sanitizer is None
-        assert cluster.fabric.sanitizer is None
+        assert cluster.fabric.probes.attached(Sanitizer) is None
         ctx = first_context(cluster)
-        assert ctx.sanitizer is None
-        assert ctx.memory.sanitizer is None
+        mr = ctx.reg_mr(64)
+        ctx.dereg_mr(mr)
+        with pytest.raises(VerbsError):  # the verbs check alone
+            mr.read_u64(mr.addr)
+
+    @staticmethod
+    def _plant_violations(ctx, cq, mr):
+        """One mr-lifetime and one cq-overflow violation on ``mr``/``cq``
+        (a depth-1 CQ)."""
+        ctx.dereg_mr(mr)
+        with pytest.raises(VerbsError):
+            mr.read_u64(mr.addr)
+        cq.push(WorkCompletion(wr_id="a", opcode=Opcode.RECV))
+        with pytest.raises(VerbsError):
+            cq.push(WorkCompletion(wr_id="b", opcode=Opcode.RECV))
 
     def test_enable_is_idempotent_and_reaches_existing_objects(self):
         cluster = make_cluster()
         ctx = first_context(cluster)
-        cq = ctx.create_cq()
+        cq = ctx.create_cq(depth=1)
         mr = ctx.reg_mr(64)  # created before enable_sanitizer()
         san = cluster.enable_sanitizer()
         assert cluster.enable_sanitizer() is san
-        assert ctx.sanitizer is san
-        assert cq.sanitizer is san
-        assert mr.sanitizer is san
-        # ... and objects created afterwards inherit it too.
-        assert ctx.create_cq().sanitizer is san
-        assert ctx.reg_mr(64).sanitizer is san
+        self._plant_violations(ctx, cq, mr)
+        rules = ["mr-lifetime", "cq-overflow"]
+        assert [v.rule for v in san.violations] == rules
+        # ... and objects created afterwards are covered too.
+        self._plant_violations(ctx, ctx.create_cq(depth=1), ctx.reg_mr(64))
+        assert [v.rule for v in san.violations] == rules + rules
+
+    def test_conflicting_strictness_raises(self):
+        for first in (False, True):
+            cluster = make_cluster()
+            san = cluster.enable_sanitizer(strict=first)
+            assert cluster.enable_sanitizer(strict=first) is san
+            with pytest.raises(ValueError, match=f"strict={first}"):
+                cluster.enable_sanitizer(strict=not first)
+            assert san.strict is first
 
     def test_strict_mode_raises_at_first_violation(self):
         cluster = make_cluster()

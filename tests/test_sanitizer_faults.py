@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterConfig, EDR, EndpointConfig
-from repro.analysis import RUNTIME_RULES, Sanitizer, attach_sanitizer
+from repro.analysis import RUNTIME_RULES, Sanitizer
 from repro.core.designs import Design, register_endpoint_kind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
 from repro.core.transport.connections import PeerConnection
@@ -42,12 +42,13 @@ def sim():
 
 
 def sanitized_cluster(sim, nodes=2):
-    """A bare fabric + contexts with an attached (non-strict) sanitizer."""
+    """A bare fabric + contexts with a (non-strict) sanitizer subscribed
+    to the fabric's probe bus."""
     cluster = FabricClusterConfig(network=EDR, num_nodes=nodes)
     cluster = cluster.with_network(ud_jitter_ns=0)
     fabric = Fabric(sim, cluster)
     ctxs = [VerbsContext(sim, fabric, i) for i in range(nodes)]
-    san = attach_sanitizer(fabric, Sanitizer(sim))
+    san = fabric.probes.attach(Sanitizer(sim))
     return fabric, ctxs, san
 
 

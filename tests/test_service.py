@@ -101,6 +101,29 @@ class TestQuotaHooks:
         assert quotas.usage("t").registered_bytes == 0
         assert quotas.usage("t").peak_qps == 1
 
+    def test_swapping_arbiter_under_live_tenant_resources_raises(self):
+        cluster = make_cluster(nodes=2)
+        first, second = QuotaManager(), QuotaManager()
+        cluster.enable_quotas(first)
+        ctx = cluster.contexts[0]
+        cq = ctx.create_cq()
+        qp = ctx.create_qp(QPType.RC, cq, cq, tenant="t")
+        mr = ctx.reg_mr(4096, tenant="u")
+        assert cluster.enable_quotas(first) is first  # same: idempotent
+        with pytest.raises(ValueError, match="'t', 'u'"):
+            cluster.enable_quotas(second)
+        # The refused swap left the first manager in charge, so the
+        # release is charged where the creation was.
+        ctx.destroy_qp(qp)
+        ctx.dereg_mr(mr)
+        assert first.usage("t").qps == 0
+        assert first.usage("u").registered_bytes == 0
+        assert second.snapshot() == {}
+        # With nothing held the swap goes through.
+        assert cluster.enable_quotas(second) is second
+        ctx.create_qp(QPType.RC, cq, cq, tenant="t")
+        assert (first.usage("t").qps, second.usage("t").qps) == (0, 1)
+
 
 class TestFootprintConformance:
     """estimate_footprint must over-approximate every design's real
