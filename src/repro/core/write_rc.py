@@ -128,8 +128,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
         yield from rc_connect_senders(self, registry, bind)
         # Local buffers recycle once their data Writes complete.
         CompletionDispatcher(self) \
-            .on(Opcode.WRITE, self.data_recycler("wdata")) \
-            .start(f"wr-send-cq-{self.endpoint_id}")
+            .on(Opcode.WRITE, self.data_recycler("wdata")).start()
 
     def _on_free_value(self, dest: int, value: int) -> None:
         conn = self.conns[dest]

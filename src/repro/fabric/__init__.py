@@ -11,9 +11,8 @@ This package models the hardware substrate the paper's evaluation ran on:
   switches, links and precomputed routes, built from a
   :class:`~repro.fabric.config.TopologySpec` preset (single-switch,
   oversubscribed leaf-spine, dual-rail).
-* :mod:`repro.fabric.routing` — the generic path-walker executing a
-  route's hop sequence (flat-callback fast path and its legacy
-  generator oracle).
+* :mod:`repro.fabric.routing` — the generic flat-callback path-walker
+  executing a route's hop sequence.
 * :mod:`repro.fabric.network` — nodes and the switched fabric connecting
   them, including UD out-of-order jitter and optional loss injection.
 """

@@ -27,10 +27,9 @@ see :mod:`repro.telemetry.probes`): ``pipe_occupy`` fires before every
 occupancy of the three pipes with the pipe's pre-submit backlog end and
 the interval's base / cache-penalty / DMA-extra decomposition (the link
 recorder and the tracer subscribe), and ``qp_miss`` on every QP-context
-cache miss (the service's per-job miss attribution subscribes).  All NIC
-entry points below are shared by the generator and flat-callback paths,
-so the probes fire from the same positions on both and cannot perturb
-event order.
+cache miss (the service's per-job miss attribution subscribes).  The
+probes fire before the pipe is charged and schedule nothing, so they
+cannot perturb event order.
 """
 
 from __future__ import annotations
@@ -140,29 +139,6 @@ class NIC:
                  self.config.nic_wr_ns, penalty, extra_ns, flow, 0)
         return self.config.nic_wr_ns + penalty + extra_ns
 
-    def _start_tx(self, wire_bytes: int, flow: int, n_packets: int) -> None:
-        self.tx_messages += 1
-        self.tx_packets += n_packets
-        hook = self.probes.pipe_occupy
-        if hook is not None:
-            hook("egress", self.node_id, self.egress.busy_until,
-                 self.egress._serialization_ns(wire_bytes), 0, 0, flow,
-                 wire_bytes)
-
-    def _start_rx(self, wire_bytes: int, qpn: int, flow: int,
-                  n_packets: int) -> int:
-        """Count the train and touch ``qpn``'s context; returns the miss
-        penalty the ingress pipe charges on top of serialization."""
-        self.rx_messages += 1
-        self.rx_packets += n_packets
-        penalty = self._qp_touch_penalty(qpn)
-        hook = self.probes.pipe_occupy
-        if hook is not None:
-            hook("ingress", self.node_id, self.ingress.busy_until,
-                 self.ingress._serialization_ns(wire_bytes), penalty, 0,
-                 flow, wire_bytes)
-        return penalty
-
     def process_wr(self, qpn: int, extra_ns: int = 0, flow: int = 0) -> Event:
         """Occupy the processing engine for one work request on ``qpn``.
 
@@ -180,16 +156,31 @@ class NIC:
                  duration_ns, 0, 0, None, 0)
         return self.processor.occupy(duration_ns)
 
-    def transmit(self, wire_bytes: int, flow: int = 0,
-                 n_packets: int = 1) -> Event:
-        """Serialize a train of ``wire_bytes`` onto the outbound link."""
-        self._start_tx(wire_bytes, flow, n_packets)
-        return self.egress.transmit_train(wire_bytes, n_packets)
+    def submit_wr(self, qpn: int, func: "Callable[[], None]",
+                  extra_ns: int = 0, flow: int = 0) -> None:
+        """Callback form of :meth:`process_wr`: runs ``func()`` once the
+        engine has processed the work request."""
+        self.processor.submit_occupy(self._start_wr(qpn, extra_ns, flow),
+                                     func)
 
-    def receive(self, wire_bytes: int, qpn: int, flow: int = 0,
-                n_packets: int = 1) -> Event:
+    def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
+                  flow: int = 0, n_packets: int = 1) -> None:
+        """Serialize a train of ``wire_bytes`` onto the outbound link;
+        runs ``func()`` once it has left the NIC."""
+        self.tx_messages += 1
+        self.tx_packets += n_packets
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("egress", self.node_id, self.egress.busy_until,
+                 self.egress._serialization_ns(wire_bytes), 0, 0, flow,
+                 wire_bytes)
+        self.egress.submit_train(wire_bytes, n_packets, func)
+
+    def submit_rx(self, wire_bytes: int, qpn: int,
+                  func: "Callable[[], None]", flow: int = 0,
+                  n_packets: int = 1) -> None:
         """Serialize a train of ``wire_bytes`` off the inbound link into
-        ``qpn``.
+        ``qpn``; runs ``func()`` once it has arrived.
 
         The receive path also touches the destination QP context, so a
         node being bombarded across many cold QPs slows down symmetrically
@@ -197,27 +188,13 @@ class NIC:
         NIC holds it across the message's back-to-back packets), so the
         miss penalty rides on the train as a whole.
         """
-        penalty = self._start_rx(wire_bytes, qpn, flow, n_packets)
-        return self.ingress.transmit_train(wire_bytes, n_packets,
-                                           extra_ns=penalty)
-
-    def submit_wr(self, qpn: int, func: "Callable[[], None]",
-                  extra_ns: int = 0, flow: int = 0) -> None:
-        """Hot-path twin of :meth:`process_wr`."""
-        self.processor.submit_occupy(self._start_wr(qpn, extra_ns, flow),
-                                     func)
-
-    def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
-                  flow: int = 0, n_packets: int = 1) -> None:
-        """Hot-path twin of :meth:`transmit`: run ``func()`` at completion
-        instead of returning an event (see :meth:`RatePipe.submit`)."""
-        self._start_tx(wire_bytes, flow, n_packets)
-        self.egress.submit_train(wire_bytes, n_packets, func)
-
-    def submit_rx(self, wire_bytes: int, qpn: int,
-                  func: "Callable[[], None]", flow: int = 0,
-                  n_packets: int = 1) -> None:
-        """Hot-path twin of :meth:`receive`."""
-        penalty = self._start_rx(wire_bytes, qpn, flow, n_packets)
+        self.rx_messages += 1
+        self.rx_packets += n_packets
+        penalty = self._qp_touch_penalty(qpn)
+        hook = self.probes.pipe_occupy
+        if hook is not None:
+            hook("ingress", self.node_id, self.ingress.busy_until,
+                 self.ingress._serialization_ns(wire_bytes), penalty, 0,
+                 flow, wire_bytes)
         self.ingress.submit_train(wire_bytes, n_packets, func,
                                   extra_ns=penalty)

@@ -1,23 +1,18 @@
 """The generic path-walker: one pipeline for every routing shape.
 
 Unicast, loopback and the two halves of multicast (shared trunk,
-per-member legs) were four near-duplicate egress→switch→ingress
-pipelines in the fabric, each duplicated again across the flat-callback
-fast path and the legacy generator path.  This module replaces them with
-one walker over a precomputed hop sequence
-(:class:`~repro.fabric.topology.Route`):
+per-member legs) all run one flat-callback walker over a precomputed hop
+sequence (:class:`~repro.fabric.topology.Route`):
 
     egress pipe → [port pipe?, forwarding latency]* → loss? → ingress
 
-Both variants are position-isomorphic — every heap entry is created at
-the same simulated time and code position, and the jitter/loss RNG
-draws happen in the same order — so ``REPRO_FASTPATH=0`` remains a
-bit-identical oracle (see :mod:`repro.sim.fastpath`):
+No per-packet process or generator frame is allocated.  The heap-entry
+and RNG-draw positions are part of the model — the committed golden
+digests (``tests/test_golden_digests.py``) pin them:
 
-* the flat walker's entry point stands exactly where the legacy process
-  bootstrap stood (one ``call_soon``),
-* a portless hop is one ``call_later`` in both variants; a port hop is
-  one pipe completion plus one ``call_later``/``timeout``,
+* a route starts with one ``call_soon``,
+* a portless hop is one ``call_later``; a port hop is one pipe
+  completion plus one ``call_later``,
 * forwarding jitter (unordered delivery) is drawn on the *first* hop,
   after the egress event fires; loss is drawn after the last hop,
   before the ingress pipe — matching the pre-topology fabric on the
@@ -25,9 +20,9 @@ bit-identical oracle (see :mod:`repro.sim.fastpath`):
 
 Latencies arrive here as validated integers
 (:class:`~repro.fabric.topology.Hop` is the rounding boundary); the
-walkers assert that instead of rounding per packet.
+walker asserts that instead of rounding per packet.
 
-The walkers move whole packet *trains*: every pipe along the path —
+The walker moves whole packet *trains*: every pipe along the path —
 egress, trunk ports, ingress — is charged with ``packet.n_packets``
 MTU packets' worth of serialization in one event (or, under the
 ``REPRO_TRAINS=0`` oracle, one tick per MTU boundary; see
@@ -44,30 +39,21 @@ from repro.fabric.packet import Packet
 from repro.fabric.topology import Hop
 from repro.sim import Event
 
-__all__ = ["flat_route", "proc_route", "flat_leg", "proc_leg"]
+__all__ = ["route", "leg"]
 
 #: a multicast fan-out continuation run instead of ingress delivery.
 Terminal = Optional[Callable[[], None]]
 
 
-def _probe_trunk(hook, port, packet: Packet) -> None:
-    """``pipe_occupy`` for one trunk-port occupancy, emitted from the same
-    position on both walkers, right before the pipe entry."""
-    pipe = port.pipe
-    hook("trunk", port, pipe.busy_until,
-         pipe._serialization_ns(packet.wire_bytes), 0, 0, packet.flow,
-         packet.wire_bytes)
-
-
 class _HopWalk:
-    """The multi-hop walk of :func:`_flat_walk` as a slotted object.
+    """The multi-hop walk of :func:`_walk` as a slotted object.
 
     Calling the instance starts the walk at hop 0; each hop schedules
     ``_forward`` (after the port pipe, where there is one), which in
     turn schedules ``_advance`` for the next hop after the forwarding
-    latency.  Identical heap-entry and RNG-draw positions to the old
-    recursive closure, without the closure's self-referential cell — so
-    finished walks are reclaimed by reference counting alone.
+    latency.  Identical heap-entry and RNG-draw positions to a recursive
+    closure, without the closure's self-referential cell — so finished
+    walks are reclaimed by reference counting alone.
     """
 
     __slots__ = ("fabric", "sim", "config", "rng", "packet", "hops",
@@ -105,20 +91,24 @@ class _HopWalk:
         if hop.port is None:
             self._forward()
         else:
+            packet = self.packet
+            pipe = hop.port.pipe
             hook = self.fabric.probes.pipe_occupy
             if hook is not None:
-                _probe_trunk(hook, hop.port, self.packet)
-            hop.port.pipe.submit_train(self.packet.wire_bytes,
-                                       self.packet.n_packets, self._forward)
+                hook("trunk", hop.port, pipe.busy_until,
+                     pipe._serialization_ns(packet.wire_bytes), 0, 0,
+                     packet.flow, packet.wire_bytes)
+            pipe.submit_train(packet.wire_bytes, packet.n_packets,
+                              self._forward)
 
     def _forward(self) -> None:
         self.sim.call_later(self.latency, self._advance)
 
 
-def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
-               unordered: bool, lossy: bool, done: Event,
-               terminal: Terminal) -> Callable[[], None]:
-    """Build the flat-callback hop walk; returns its entry point.
+def _walk(fabric, packet: Packet, hops: Sequence[Hop],
+          unordered: bool, lossy: bool, done: Event,
+          terminal: Terminal) -> Callable[[], None]:
+    """Build the hop walk; returns its entry point.
 
     With ``terminal`` the walk ends there (the multicast trunk hands
     over to the fan-out); otherwise it ends in the loss draw and the
@@ -178,17 +168,16 @@ def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
                     finish)
 
 
-def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
-               unordered: bool, lossy: bool, done: Event,
-               egress_event: Optional[Event] = None,
-               terminal: Terminal = None) -> None:
-    """Flat-callback routing: egress pipe, then the hop walk.
+def route(fabric, packet: Packet, hops: Tuple[Hop, ...],
+          unordered: bool, lossy: bool, done: Event,
+          egress_event: Optional[Event] = None,
+          terminal: Terminal = None) -> None:
+    """Route ``packet``: egress pipe, then the hop walk.
 
-    The initial ``call_soon`` stands exactly where the legacy process
-    bootstrap stood; the only per-packet allocations are the stage
-    closures — no Process, no generator frame.
+    The walk starts after one ``call_soon``; the only per-packet
+    allocations are the stage closures.
     """
-    walk = _flat_walk(fabric, packet, hops, unordered, lossy, done, terminal)
+    walk = _walk(fabric, packet, hops, unordered, lossy, done, terminal)
     src_nic = fabric.nodes[packet.src_node].nic
 
     def start() -> None:
@@ -203,63 +192,10 @@ def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
     fabric.sim.call_soon(start)
 
 
-def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
-             done: Event) -> None:
+def leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
+        done: Event) -> None:
     """One multicast leg: the walk without an egress stage (the trunk
     already paid the sender's port once for the whole group).  Legs are
     datagrams: always unordered and lossy."""
     fabric.sim.call_soon(
-        _flat_walk(fabric, packet, hops, True, True, done, None))
-
-
-def proc_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
-               unordered: bool, lossy: bool, done: Event,
-               egress_event: Optional[Event] = None,
-               terminal: Terminal = None):
-    """Legacy generator twin of :func:`flat_route` (``REPRO_FASTPATH=0``)."""
-    yield fabric.nodes[packet.src_node].nic.transmit(
-        packet.wire_bytes, flow=packet.flow, n_packets=packet.n_packets)
-    if egress_event is not None:
-        egress_event.succeed(packet)
-    yield from _proc_walk(fabric, packet, hops, unordered, lossy, done,
-                          terminal)
-
-
-def proc_leg(fabric, packet: Packet, hops: Tuple[Hop, ...], done: Event):
-    """Legacy generator twin of :func:`flat_leg`."""
-    yield from _proc_walk(fabric, packet, hops, True, True, done, None)
-
-
-def _proc_walk(fabric, packet: Packet, hops: Sequence[Hop],
-               unordered: bool, lossy: bool, done: Event,
-               terminal: Terminal):
-    sim = fabric.sim
-    config = fabric.config
-    rng = fabric._rng
-    for index, hop in enumerate(hops):
-        latency = hop.latency_ns
-        if index == 0 and unordered and config.ud_jitter_ns:
-            latency += rng.randrange(config.ud_jitter_ns)
-        assert type(latency) is int, "hop latency must be integer ns"
-        if hop.port is not None:
-            hook = fabric.probes.pipe_occupy
-            if hook is not None:
-                _probe_trunk(hook, hop.port, packet)
-            yield hop.port.pipe.transmit_train(packet.wire_bytes,
-                                               packet.n_packets)
-        yield sim.timeout(latency)
-    if terminal is not None:
-        terminal()
-        return
-    if lossy and config.ud_loss_probability > 0:
-        if rng.random() < config.ud_loss_probability:
-            packet.dropped = True
-            fabric.dropped_messages += 1
-            done.succeed(packet)
-            return
-    yield fabric.nodes[packet.dst_node].nic.receive(
-        packet.wire_bytes, packet.dst_qpn, flow=packet.flow,
-        n_packets=packet.n_packets)
-    fabric.delivered_messages += 1
-    fabric.delivered_packets += packet.n_packets
-    done.succeed(packet)
+        _walk(fabric, packet, hops, True, True, done, None))

@@ -530,8 +530,8 @@ class Simulator:
                     # (not before every pop) and counts distinct pending
                     # timestamps, to keep the loop lean; the gauge stays
                     # deterministic but is an approximation — it is one
-                    # of the interpreter self-counters exempt from
-                    # fast-path invariance (see DESIGN.md).
+                    # of the interpreter self-counters left out of the
+                    # golden digests (see DESIGN.md).
                     sample -= 1
                     if sample < 0:
                         sample = 63

@@ -185,11 +185,11 @@ class RatePipe:
     Rates are expressed in units per nanosecond (e.g. bytes/ns, which is
     numerically equal to GB/s).
 
-    The ``*_train`` entry points charge a whole packet train (one
-    message's back-to-back MTU packets) in a single event; with
-    ``split_packets`` set (the ``REPRO_TRAINS=0`` oracle) they instead
-    tick every integer MTU boundary — same charge, same ``busy_until``,
-    same counters, just ``n_packets`` completion entries instead of one.
+    :meth:`submit_train` charges a whole packet train (one message's
+    back-to-back MTU packets) in a single event; with ``split_packets``
+    set (the ``REPRO_TRAINS=0`` oracle) it instead ticks every integer
+    MTU boundary — same charge, same ``busy_until``, same counters, just
+    ``n_packets`` completion entries instead of one.
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = ""):
@@ -198,7 +198,7 @@ class RatePipe:
         self.sim = sim
         self.rate = rate
         self.name = name
-        #: per-packet oracle mode (REPRO_TRAINS=0): ``*_train`` calls
+        #: per-packet oracle mode (REPRO_TRAINS=0): ``submit_train`` calls
         #: schedule one tick per MTU packet instead of one per train.
         #: Read once at construction; Fabric.use_packet_oracle() flips it
         #: on a quiesced fabric for in-process A/B runs.
@@ -239,20 +239,6 @@ class RatePipe:
         event.succeed(delay=self._busy_until - self.sim.now)
         return event
 
-    def submit(self, units: float, func: Callable[[], None],
-               extra_ns: int = 0) -> None:
-        """Hot-path twin of :meth:`transmit`: identical bookkeeping and
-        completion time, but runs ``func()`` at completion via a pooled
-        kernel carrier instead of allocating an :class:`Event`."""
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
-        duration = self._serialization_ns(units) + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        self.sim.call_later(self._busy_until - self.sim.now, func)
-
     def _packet_boundaries(self, start: int, ser_ns: int,
                            n_packets: int) -> None:
         """Schedule the oracle's intermediate MTU-boundary ticks.
@@ -269,32 +255,16 @@ class RatePipe:
         for i in range(1, n_packets):
             call_later(start + (ser_ns * i) // n_packets - now, _packet_tick)
 
-    def transmit_train(self, units: float, n_packets: int,
-                       extra_ns: int = 0) -> Event:
-        """Charge one packet train; returns the train-arrival event.
+    def submit_train(self, units: float, n_packets: int,
+                     func: Callable[[], None], extra_ns: int = 0) -> None:
+        """Charge one packet train; runs ``func()`` at train arrival.
 
         Identical occupancy, counters and completion time to
         :meth:`transmit` — a train *is* one ``units``-sized transfer —
         but under the per-packet oracle the serialization interval is
-        additionally ticked at every MTU boundary.
+        additionally ticked at every MTU boundary.  ``func`` is scheduled
+        as a bare callback; no :class:`Event` is allocated.
         """
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
-        ser = self._serialization_ns(units)
-        duration = ser + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        if n_packets > 1 and self.split_packets:
-            self._packet_boundaries(start, ser, n_packets)
-        event = Event(self.sim)
-        event.succeed(delay=self._busy_until - self.sim.now)
-        return event
-
-    def submit_train(self, units: float, n_packets: int,
-                     func: Callable[[], None], extra_ns: int = 0) -> None:
-        """Hot-path twin of :meth:`transmit_train` (see :meth:`submit`)."""
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
         start = max(self.sim.now, self._busy_until)
@@ -319,7 +289,8 @@ class RatePipe:
 
     def submit_occupy(self, duration_ns: int,
                       func: Callable[[], None]) -> None:
-        """Hot-path twin of :meth:`occupy` (see :meth:`submit`)."""
+        """Callback form of :meth:`occupy`: runs ``func()`` at completion
+        instead of returning an event."""
         start = max(self.sim.now, self._busy_until)
         duration = int(duration_ns)
         self._busy_until = start + duration

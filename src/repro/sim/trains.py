@@ -14,8 +14,7 @@ exactly at the pipe's ``busy_until``).  Because pipes are FIFO-serial
 and every intermediate tick is a no-op, the two modes produce
 bit-identical end times, metrics and critical-path attribution — the
 property asserted per endpoint design and per topology preset by
-``tests/test_train_determinism.py``, mirroring the
-:mod:`repro.sim.fastpath` A/B discipline.
+``tests/test_train_determinism.py``.
 
 Consumers read the flag once at construction time
 (:class:`~repro.sim.primitives.RatePipe` instances created by the NIC

@@ -1,4 +1,10 @@
-"""Completion queues and work completions."""
+"""Completion queues and work completions.
+
+Endpoints consume their CQs event-driven (:meth:`CompletionQueue.subscribe`,
+through :class:`~repro.core.transport.dispatch.CompletionDispatcher`);
+the blocking :meth:`~CompletionQueue.wait` serves process-style callers
+such as the qperf baseline.
+"""
 
 from __future__ import annotations
 
@@ -43,16 +49,16 @@ class CompletionQueue:
     """A completion queue shared by any number of Queue Pairs.
 
     The paper associates all of an endpoint's QPs with a single CQ to
-    amortize polling (§4.4.1); this class supports that directly.  Two
+    amortize polling (§4.4.1); this class supports that directly.  Three
     consumption styles are offered:
 
     * :meth:`poll` — the non-blocking ``ibv_poll_cq`` equivalent;
     * :meth:`wait` — a blocking get used by simulation processes instead of
       spinning (a real thread busy-polls; burning simulated events to model
       an idle spin would add nothing but cost);
-    * :meth:`subscribe` — the event-driven hot path: one callback consumes
-      every completion without a process, a getter event, or a re-arm per
-      entry.  A CQ is either subscribed or polled/waited on, never both.
+    * :meth:`subscribe` — event-driven, the endpoints' style: one callback
+      consumes every completion without a process, a getter event, or a
+      re-arm per entry.  A CQ is either subscribed or polled/waited on, never both.
     """
 
     def __init__(self, sim: Simulator, depth: int = 4096):

@@ -27,6 +27,7 @@ from repro.fabric.packet import Packet, make_train
 from repro.sim import Event, Queue
 from repro.verbs.constants import (
     MAX_RC_MSG,
+    MCAST_NODE,
     AddressHandle,
     Opcode,
     QPState,
@@ -171,27 +172,16 @@ class QueuePair:
             raise VerbsError(error)
         self._send_outstanding += 1
         self.sends_posted += 1
-        # The hot path drives the per-message protocol as a flat callback
-        # chain; the generator processes are the behavioural oracle behind
-        # REPRO_FASTPATH=0 (see repro.sim.fastpath).  RDMA Read/Write stay
-        # on the generator path — they are off the shuffle hot loop.
-        if self.ctx.fabric.flat_routing:
-            if self.qp_type is QPType.UD:
-                self._ud_send_flat(wr)
-                return
-            if wr.opcode is Opcode.SEND:
-                self._rc_send_flat(wr)
-                return
-        if self.qp_type is QPType.RC:
-            handlers = {
-                Opcode.SEND: self._rc_send,
-                Opcode.READ: self._rc_read,
-                Opcode.WRITE: self._rc_write,
-            }
-            proc = handlers[wr.opcode](wr)
+        # Send runs as a flat callback chain; RDMA Read/Write stay on
+        # generator processes — they are off the shuffle hot loop.
+        if self.qp_type is QPType.UD:
+            self._ud_send(wr)
+        elif wr.opcode is Opcode.SEND:
+            self._rc_send(wr)
         else:
-            proc = self._ud_send(wr)
-        self.ctx.sim.process(proc, name=f"qp{self.qpn}-{wr.opcode.value}")
+            rdma = {Opcode.READ: self._rc_read, Opcode.WRITE: self._rc_write}
+            self.ctx.sim.process(rdma[wr.opcode](wr),
+                                 name=f"qp{self.qpn}-{wr.opcode.value}")
 
     def _send_error(self, wr: SendWR) -> Optional[str]:
         """Why ``ibv_post_send`` must reject ``wr``, or None."""
@@ -245,24 +235,6 @@ class QueuePair:
 
     # -- Reliable Connection data paths -----------------------------------------
 
-    def _rc_send(self, wr: SendWR):
-        nic = self.ctx.nic
-        peer = self._peer
-        assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
-        yield nic.process_wr(self.qpn, flow=wr.flow)
-        packet = yield self.ctx.fabric.route(
-            self._send_train(wr, peer.node_id, peer.qpn, "RC"))
-        remote = self.ctx.peer_context(peer.node_id)
-        remote_qp = remote.qp(peer.qpn)
-        # Receiver-not-ready: stall until a Receive is posted.  (The
-        # paper's credit protocol exists precisely so this never happens.)
-        rnr_t0 = self.ctx.sim.now
-        rwr = yield remote_qp._rc_recvs.get()
-        yield self.ctx.fabric.route(
-            self._rc_accept(wr, remote_qp, rwr, packet, rnr_t0))
-        self._complete_send(wr, t0)
-
     def _rc_accept(self, wr: SendWR, remote_qp: "QueuePair", rwr: RecvWR,
                    packet: Packet, rnr_t0: int) -> Packet:
         """Deposit an arrived RC Send into the Receive it waited for since
@@ -304,15 +276,10 @@ class QueuePair:
             meta={"imm": wr.imm}, flow=wr.flow,
         )
 
-    def _rc_send_flat(self, wr: SendWR) -> None:
-        """Flat-callback twin of :meth:`_rc_send`.
-
-        Every heap entry (NIC processing, route stages, the receive-queue
-        get, the ack) is created at the same simulated time and code
-        position as in the generator version, so event order, RNR stall
-        accounting and trace spans are bit-identical — only the Process
-        and generator frame are gone.
-        """
+    def _rc_send(self, wr: SendWR) -> None:
+        """An RC Send as a flat callback chain: NIC processing, the route
+        to the peer, a wait for a posted Receive (receiver-not-ready if
+        none is there yet), the deposit, and the hardware ack back."""
         ctx = self.ctx
         sim = ctx.sim
         peer = self._peer
@@ -403,44 +370,11 @@ class QueuePair:
 
     # -- Unreliable Datagram data path ---------------------------------------
 
-    def _ud_send(self, wr: SendWR):
-        from repro.verbs.constants import MCAST_NODE
-
-        dest = wr.dest
-        assert dest is not None  # post_send validated the destination
-        t0 = self.ctx.sim.now
-        yield self.ctx.nic.process_wr(self.qpn, flow=wr.flow)
-        packet = self._send_train(wr, max(dest.node_id, 0), dest.qpn, "UD")
-        egress_done = Event(self.ctx.sim)
-        if dest.node_id == MCAST_NODE:
-            # InfiniBand multicast: the switch replicates the datagram to
-            # every attached QP; the sender's port is charged only once.
-            fanout = self.ctx.fabric.route_mcast(
-                packet, mgid=dest.qpn, egress_event=egress_done)
-            self.ctx.sim.process(
-                self._ud_mcast_deliver(fanout),
-                name=f"qp{self.qpn}-ud-mcast")
-        else:
-            arrival = self.ctx.fabric.route(
-                packet, unordered=True, lossy=True,
-                egress_event=egress_done)
-            self.ctx.sim.process(
-                self._ud_deliver(arrival), name=f"qp{self.qpn}-ud-deliver")
-        # No ack in UD: local completion once the NIC drained the buffer.
-        yield egress_done
-        self._complete_send(wr, t0)
-
-    def _ud_send_flat(self, wr: SendWR) -> None:
-        """Flat-callback twin of :meth:`_ud_send` and its deliver helpers.
-
-        The deliver callback replaces the per-datagram ``_ud_deliver``
-        process; registering it directly on the arrival event (instead of
-        via a helper process bootstrap) removes heap entries that carry no
-        observable action, which shifts later sequence numbers uniformly
-        and therefore cannot reorder anything.
+    def _ud_send(self, wr: SendWR) -> None:
+        """A UD Send as a flat callback chain: NIC processing, then a
+        unicast route or a multicast fan-out with :meth:`_ud_deliver` on
+        every arrival; the send completes once the egress port drained.
         """
-        from repro.verbs.constants import MCAST_NODE
-
         ctx = self.ctx
         sim = ctx.sim
         dest = wr.dest
@@ -455,6 +389,8 @@ class QueuePair:
                                       "UD")
             egress_done = Event(sim)
             if dest.node_id == MCAST_NODE:
+                # InfiniBand multicast: the switch replicates the datagram
+                # to every attached QP; the sender's port is charged once.
                 fanout = ctx.fabric.route_mcast(
                     packet, mgid=dest.qpn, egress_event=egress_done)
                 fanout.add_callback(fan_out)
@@ -462,21 +398,21 @@ class QueuePair:
                 arrival = ctx.fabric.route(
                     packet, unordered=True, lossy=True,
                     egress_event=egress_done)
-                arrival.add_callback(self._ud_deliver_flat)
+                arrival.add_callback(self._ud_deliver)
             # No ack in UD: local completion once the NIC drained the
             # buffer.
             egress_done.add_callback(complete)
 
         def fan_out(fanout: Event) -> None:
             for leg in fanout.value:
-                leg.add_callback(self._ud_deliver_flat)
+                leg.add_callback(self._ud_deliver)
 
         def complete(_evt: Event) -> None:
             self._complete_send(wr, t0)
 
         sim.call_soon(start)
 
-    def _ud_deliver_flat(self, arrival: Event) -> None:
+    def _ud_deliver(self, arrival: Event) -> None:
         packet = arrival.value
         if packet.dropped:
             return
@@ -494,13 +430,3 @@ class QueuePair:
         rwr = remote_qp._ud_recvs.popleft()
         remote_qp._recv_posted -= 1
         remote_qp._deposit(rwr, packet)
-
-    def _ud_mcast_deliver(self, fanout: Event):
-        deliveries = yield fanout
-        for leg in deliveries:
-            self.ctx.sim.process(
-                self._ud_deliver(leg), name=f"qp{self.qpn}-ud-mcast-leg")
-
-    def _ud_deliver(self, arrival: Event):
-        yield arrival
-        self._ud_deliver_flat(arrival)

@@ -28,22 +28,24 @@ from repro import (
     EndpointConfig,
     TransmissionGroups,
 )
-from repro.core import ReceiveOperator, ShuffleOperator
+from repro.core import DESIGNS, ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
 from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 from repro.fabric import DUAL_RAIL, LEAF_SPINE, SINGLE_SWITCH
+from tests.comparable import SIM_SELF_COUNTERS, comparable
 from tests.test_determinism import DESIGN_NAMES
-from tests.test_fastpath_determinism import SIM_SELF_COUNTERS, _comparable
 
 DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
 #: UD transports cap messages at the MTU; RC designs get 64 KiB messages
 #: (16-packet trains at the 4 KiB MTU).
-UD_DESIGNS = {"MESQ/SR", "MESQ/SR+MC"}
+UD_DESIGNS = {name for name, design in DESIGNS.items() if design.uses_ud}
 
-TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2), DUAL_RAIL]
+#: one leaf per node, so even a 2-node shuffle crosses the spine trunks.
+TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2, nodes_per_leaf=1),
+              DUAL_RAIL]
 TOPOLOGY_IDS = ["single-switch", "leaf-spine", "dual-rail"]
 
 
@@ -103,10 +105,16 @@ def test_trains_match_per_packet_oracle(design, topology, monkeypatch):
     oracle = run_shuffle(design, topology)
     assert train[2] == oracle[2], "simulated end times diverge"
     assert train[1] == oracle[1], "trace span counts diverge"
-    assert _comparable(train[0]) == _comparable(oracle[0]), \
+    assert comparable(train[0]) == comparable(oracle[0]), \
         "modeled metrics diverge"
     assert train[3] == oracle[3], "critical-path attribution diverges"
     assert train[4:] == oracle[4:], "delivery accounting diverges"
+    if topology.kind != "single-switch":
+        # Otherwise the case only repeats single-switch: the shuffle must
+        # charge the trunk (leaf-spine) or rail (dual-rail) switch ports.
+        ports = train[0]["fabric"]["topology.ports"]
+        assert any(port["bytes"] for port in ports.values()), \
+            "no switch port carried traffic"
     if design not in UD_DESIGNS:
         # The RC shuffles must actually move multi-packet trains, and the
         # oracle must pay for them in dispatched events — the surplus the
@@ -138,5 +146,5 @@ def test_train_crossing_credit_grant(monkeypatch):
     monkeypatch.setenv("REPRO_TRAINS", "0")
     oracle = run_shuffle("MEMQ/SR", credit_frequency=1)
     assert train[2] == oracle[2], "simulated end times diverge"
-    assert _comparable(train[0]) == _comparable(oracle[0])
+    assert comparable(train[0]) == comparable(oracle[0])
     assert train[3] == oracle[3], "critical-path attribution diverges"

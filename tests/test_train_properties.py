@@ -84,7 +84,7 @@ def test_oracle_packet_boundaries_are_monotone_and_end_at_busy_until(
     assert sim.now == pipe.busy_until
 
 
-def test_one_packet_train_is_exactly_submit():
+def test_one_packet_train_is_exactly_transmit():
     """Boundary case: n == 1 schedules precisely one completion, even in
     oracle mode — a single-MTU message has no internal boundaries."""
     sim = Simulator()
@@ -96,7 +96,8 @@ def test_one_packet_train_is_exactly_submit():
     reference = Simulator()
     ref_pipe = RatePipe(reference, 12.4)
     ref_fired = []
-    ref_pipe.submit(4096, lambda: ref_fired.append(reference.now))
+    ref_pipe.transmit(4096).add_callback(
+        lambda _ev: ref_fired.append(reference.now))
     reference.run()
     assert fired == ref_fired
     assert sim.now == reference.now
@@ -148,7 +149,8 @@ def test_train_boundaries_unobservable_end_to_end(topology, wire_bytes,
 
 def _mcast_trains(topology, oracle):
     """Blast multicast trains with jitter and loss; returns every
-    per-leg outcome in completion order (mirrors the fastpath A/B)."""
+    per-leg outcome in completion order (mirrors the golden multicast
+    blast in test_golden_digests.py)."""
     sim = Simulator()
     config = ClusterConfig(network=EDR, num_nodes=8,
                            topology=topology).with_network(
