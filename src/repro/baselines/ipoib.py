@@ -162,7 +162,7 @@ class IPoIBSendEndpoint(SendEndpoint):
     def connect(self, registry: EndpointRegistry):
         for dest in self.destinations:
             # TCP three-way handshake: about one round trip.
-            yield self.sim.timeout(2 * self.net.switch_latency_ns)
+            yield int(2 * self.net.switch_latency_ns)
             key = (self.endpoint_id, self.peers[dest])
             self._conns[dest] = TcpConnection(self.ctx, dest, key)
 

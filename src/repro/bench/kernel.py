@@ -77,16 +77,16 @@ def bench_dispatch_events(num_events: int = 300_000,
 
 def bench_process_wakeups(num_wakeups: int = 150_000,
                           procs: int = 64) -> Dict[str, Any]:
-    """Generator processes in a ``yield sim.timeout(...)`` loop.
+    """Generator processes in a ``yield <int ns>`` sleep loop.
 
-    Measures the process resume path and Timeout pooling.
+    Measures the process resume path.
     """
     sim = Simulator()
     per_proc = num_wakeups // procs
 
     def worker(period: int):
         for _ in range(per_proc):
-            yield sim.timeout(period)
+            yield period
 
     for i in range(procs):
         sim.process(worker(11 + (i % 7)), name=f"bench-worker-{i}")

@@ -33,7 +33,9 @@ subclass the runtime bases there and supply only posting policy.
 Implementation style note: methods that may block are generator *process
 fragments* — callers invoke them as ``yield from endpoint.send(...)``
 inside a simulation process, mirroring how the real (blocking) C++ calls
-occupy a worker thread.
+occupy a worker thread.  CPU time is charged by yielding int nanoseconds
+(``yield self._post_wr_ns``); the fixed per-call charges are scaled to
+the node once per endpoint.
 """
 
 from __future__ import annotations
@@ -191,6 +193,10 @@ class _EndpointBase:
         self.endpoint_id = endpoint_id
         self.config = config
         self.net = ctx.config
+        # The fixed CPU charges, scaled to this node once (int ns).
+        self._poll_cq_ns = self.net.cpu(self.net.poll_cq_ns)
+        self._post_wr_ns = self.net.cpu(self.net.post_wr_ns)
+        self._endpoint_send_ns = self.net.cpu(self.net.endpoint_send_ns)
         #: serializes bookkeeping when several threads share the endpoint.
         self.lock = Mutex(ctx.sim)
         #: the main registered transmission/receive buffer pool.
@@ -222,10 +228,6 @@ class _EndpointBase:
         regions.extend(self.aux_mrs)
         regions.extend(pool.mr for pool in self.aux_pools)
         return regions
-
-    def _cpu(self, ns: float):
-        """Charge scaled CPU time to the calling thread."""
-        return self.node.cpu_delay(ns)
 
     def _trace_stall(self, name: str, t0: int) -> None:
         """Emit a stall span on this endpoint's track if time elapsed."""
@@ -300,7 +302,7 @@ class SendEndpoint(_EndpointBase):
         buf = yield self._free.get()
         self.free_wait_ns += self.sim.now - t0
         self._trace_stall("free-wait", t0)
-        yield self._cpu(self.net.poll_cq_ns)
+        yield self._poll_cq_ns
         return buf
 
     def _wait_credit(self, conn):
@@ -364,7 +366,7 @@ class ReceiveEndpoint(_EndpointBase):
         item = yield self._inbox.get()
         self.data_wait_ns += self.sim.now - t0
         self._trace_stall("data-wait", t0)
-        yield self._cpu(self.net.poll_cq_ns)
+        yield self._poll_cq_ns
         if isinstance(item, ShuffleNetworkError):
             # Leave the error visible for the other consumer threads too.
             self._inbox.put(item)

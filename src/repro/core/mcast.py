@@ -69,8 +69,7 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
         if len(others) < 2:
             yield from super().send(buf, dests, state)
             return
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self._endpoint_send_ns)
         self._pending.add(buf, 1 + (1 if me in dests else 0))
         # Per-member flow control: every destination must have credit.
         for dest in dests:
@@ -82,7 +81,7 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
             seq=0, payload=buf.payload, length=buf.length,
             remote_addr=buf.addr,
         )
-        yield self._cpu(self.net.post_wr_ns)
+        yield self._post_wr_ns
         self.qp.post_send(SendWR(
             wr_id=("data", buf), opcode=Opcode.SEND,
             buffer=FrameCarrier(frame), length=buf.length,
@@ -96,7 +95,7 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
             self.bytes_by_dest[dest] = \
                 self.bytes_by_dest.get(dest, 0) + buf.length
         if me in dests:
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             self.qp.post_send(SendWR(
                 wr_id=("data", buf), opcode=Opcode.SEND,
                 buffer=FrameCarrier(frame), length=buf.length,

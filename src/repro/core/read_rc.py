@@ -135,8 +135,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
     # -- SEND (Alg 3, lines 1-5) ------------------------------------------------
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self._endpoint_send_ns)
         frame = Frame(
             kind="data", state=state, src_endpoint=self.endpoint_id,
             payload=buf.payload, length=buf.length, remote_addr=buf.addr,
@@ -147,7 +146,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
         self._pending.add(buf.addr, len(dests))
         for dest in dests:
             conn = self.conns[dest]
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             post_ring_write(conn.qp, conn.valid, buf.addr, ("valid", dest))
             self.record_send(dest, buf.length)
 
@@ -159,7 +158,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
                           src_endpoint=self.endpoint_id, remote_addr=buf.addr)
             buf.mr.set_object(buf.addr, frame)
             self._pending.add(buf.addr, 1)
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             post_ring_write(conn.qp, conn.valid, buf.addr, ("valid", dest))
 
 
@@ -258,10 +257,9 @@ class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
     # -- RELEASE (Alg 3, lines 16-18) ----------------------------------------------
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        yield from self.lock.critical_section(self._post_wr_ns)
         conn = self.conns[src]
-        yield self._cpu(self.net.post_wr_ns)
+        yield self._post_wr_ns
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))
         local.reset()
         conn.local_arr.append(local)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.endpoint import DataState, SendEndpoint
 from repro.core.groups import TransmissionGroups
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import Operator, OpState, concat_batches
 
 __all__ = [
     "ShuffleOperator",
@@ -133,7 +133,9 @@ class _GroupAccumulator:
                 self.chunks[0] = head[need:]
                 need = 0
         self.rows -= rows
-        return np.concatenate(taken) if len(taken) > 1 else taken[0]
+        batch = concat_batches(taken)
+        assert batch is not None  # rows > 0 took at least one chunk
+        return batch
 
 
 class ShuffleOperator(Operator):

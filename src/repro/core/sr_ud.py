@@ -230,7 +230,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                 name=f"sr-ud-drain-{self.endpoint_id}-{conn.endpoint}")
 
     def _drain_watch(self, conn: PeerConnection):
-        yield self.sim.timeout(self.config.drain_timeout_ns)
+        yield int(self.config.drain_timeout_ns)
         if conn.expected is not None and conn.received < conn.expected:
             self._fail(ShuffleNetworkError(
                 f"endpoint {self.endpoint_id}: source {conn.endpoint} "
@@ -244,9 +244,9 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         Credit datagrams can be lost; because values are absolute this
         retransmission is idempotent and unwedges a starved sender.
         """
-        interval = max(1, self.config.drain_timeout_ns // 4)
+        interval = max(1, int(self.config.drain_timeout_ns) // 4)
         while self._active_sources:
-            yield self.sim.timeout(interval)
+            yield interval
             for src_ep in list(self._active_sources):
                 self._credit_out.post_credit(self.conns[src_ep])
 

@@ -38,7 +38,7 @@ def charge_registration(ctx: VerbsContext, nbytes: int):
     cost = (config.mr_register_base_ns
             + pages * config.mr_register_ns_per_page)
     ctx.mr_register_ns += cost
-    yield ctx.sim.timeout(cost)
+    yield int(cost)
 
 
 class BufferRing:

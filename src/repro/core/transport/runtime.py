@@ -132,9 +132,13 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         # Per-call bookkeeping is serialized: this is the shared-endpoint
-        # contention the SE configurations pay for.
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        # contention the SE configurations pay for.  The critical section
+        # is written inline (acquire, hold, release): this is the hot loop.
+        lock = self.lock
+        yield lock.acquire()
+        if self._endpoint_send_ns:
+            yield self._endpoint_send_ns
+        lock.release()
         self._pending.add(buf, len(dests))
         for dest in dests:
             conn = self.conns[dest]
@@ -145,7 +149,7 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
                 seq=conn.sent, payload=buf.payload, length=buf.length,
                 remote_addr=buf.addr,
             )
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             self._post_data(conn, buf, frame)
             self.trains_sent += 1
             self.train_packets_sent += max(
@@ -164,7 +168,7 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
                 src_endpoint=self.endpoint_id, seq=conn.sent,
                 total=conn.sent,
             )
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             self._post_final(conn, dest, frame)
 
     # -- posting policy supplied by the design -----------------------------
@@ -207,8 +211,12 @@ class CreditedReceiveEndpoint(RuntimeReceiveEndpoint):
     """Two-sided RELEASE path issuing stateless credit (§4.4.1-2)."""
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        # The critical section, inline as in send().
+        lock = self.lock
+        yield lock.acquire()
+        if self._post_wr_ns:
+            yield self._post_wr_ns
+        lock.release()
         conn = self.conns[src]
         local.reset()
         self._repost(conn, local)
@@ -216,7 +224,7 @@ class CreditedReceiveEndpoint(RuntimeReceiveEndpoint):
         if conn.posted % self.config.credit_frequency == 0:
             # Credit is issued strictly after the Receive is reposted and
             # amortized over credit_frequency Receives (§5.1.1).
-            yield self._cpu(self.net.post_wr_ns)
+            yield self._post_wr_ns
             hook = self.ctx.probes.credit_return
             if hook is not None:
                 hook(local)

@@ -142,19 +142,18 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
             yield conn.notify.wait()
         remote_addr = conn.remote_free.pop()
         frame.remote_addr = remote_addr
-        yield self._cpu(self.net.post_wr_ns)
+        yield self._post_wr_ns
         conn.qp.post_send(SendWR(
             wr_id=("wdata", buf), opcode=Opcode.WRITE,
             buffer=FrameCarrier(frame), length=length,
             remote_addr=remote_addr, signaled=signaled,
         ))
-        yield self._cpu(self.net.post_wr_ns)
+        yield self._post_wr_ns
         post_ring_write(conn.qp, conn.valid, remote_addr,
                         ("valid", conn.node))
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self._endpoint_send_ns)
         self._pending.add(buf, len(dests))
         for dest in dests:
             frame = Frame(kind="data", state=state,
@@ -236,11 +235,10 @@ class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
         self._deliver(src_ep, value, buf)
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        yield from self.lock.critical_section(self._post_wr_ns)
         conn = self.conns[src]
         local.reset()
-        yield self._cpu(self.net.post_wr_ns)
+        yield self._post_wr_ns
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))
 
 

@@ -13,6 +13,7 @@ arithmetic so operators stay small.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -43,12 +44,28 @@ def batch_nbytes(batch: Optional[np.ndarray]) -> int:
     return 0 if batch is None else batch.nbytes
 
 
+@lru_cache(maxsize=64)
+def _promotes_to_itself(dtype: np.dtype) -> bool:
+    """True when numpy's promotion of ``dtype`` with itself is ``dtype``
+    (false for structured dtypes with padding, which promotion packs)."""
+    return np.result_type(dtype, dtype) == dtype
+
+
 def concat_batches(batches: List[np.ndarray]) -> Optional[np.ndarray]:
-    """Concatenate batches, tolerating the empty list."""
+    """Concatenate batches, tolerating the empty list.
+
+    Batches that share one dtype are joined with that ``dtype=`` named,
+    which skips numpy's field-by-field promotion of structured dtypes on
+    every call; mixed dtypes take the plain promoting path.
+    """
     if not batches:
         return None
     if len(batches) == 1:
         return batches[0]
+    dtype = batches[0].dtype
+    if all(batch.dtype == dtype for batch in batches) and \
+            _promotes_to_itself(dtype):
+        return np.concatenate(batches, dtype=dtype)
     return np.concatenate(batches)
 
 
@@ -75,12 +92,12 @@ class Operator:
         raise NotImplementedError
         yield  # pragma: no cover - marks this as a generator signature
 
-    def cpu(self, ns: float):
-        """Charge CPU time to the calling worker thread."""
+    def cpu(self, ns: float) -> int:
+        """Charge CPU time to the calling worker thread (``yield`` it)."""
         return self.node.cpu_delay(ns)
 
     def per_tuple_cost(self, rows: int, nbytes: int = 0,
                        ns_per_tuple: float = 0.0,
-                       ns_per_byte: float = 0.0):
-        """Charge a vectorized per-batch cost in one timeout."""
+                       ns_per_byte: float = 0.0) -> int:
+        """Charge a vectorized per-batch cost in one int sleep."""
         return self.node.cpu_delay(rows * ns_per_tuple + nbytes * ns_per_byte)

@@ -51,14 +51,15 @@ class Node:
         self.config = config
         self.nic = NIC(sim, node_id, config)
 
-    def cpu_delay(self, ns: float) -> Event:
-        """A timeout scaled by this node's CPU speed.
+    def cpu_delay(self, ns: float) -> int:
+        """A CPU charge scaled by this node's CPU speed, as int ns.
 
-        ``ns`` may be fractional (per-tuple cost models multiply);
+        A process charges it with ``yield node.cpu_delay(ns)``.  ``ns``
+        may be fractional (per-tuple cost models multiply);
         :meth:`NetworkConfig.cpu` rounds to integer nanoseconds exactly
         once, here at the simulation boundary.
         """
-        return self.sim.timeout(self.config.cpu(ns))
+        return self.config.cpu(ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} ({self.config.name})>"

@@ -260,7 +260,7 @@ class ShuffleService:
         for i in range(tenant.jobs):
             gap = max(1, int(rng.expovariate(
                 1.0 / tenant.mean_interarrival_ns)))
-            yield self.sim.timeout(gap)
+            yield gap
             self.queue.push(Job(tenant=tenant, index=i))
 
     def _scheduler(self):
@@ -354,7 +354,7 @@ class ShuffleService:
             self.completion_order.append(job.name)
             # Let trailing completions (acks, credit write-backs) land
             # before destroying the QPs and MRs they reference.
-            yield self.sim.timeout(self.config.teardown_grace_ns)
+            yield int(self.config.teardown_grace_ns)
         except QuotaExceededError:
             # Admission underestimated (should not happen: the estimator
             # is deliberately generous).  Record and release the job.

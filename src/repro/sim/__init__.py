@@ -10,7 +10,8 @@ The kernel is intentionally small and simpy-like:
 
 * :class:`~repro.sim.kernel.Simulator` owns the clock and the event queue.
 * Processes are plain generators that ``yield`` :class:`Event` objects and
-  resume when the event fires.
+  resume when the event fires, or ``yield`` an int to sleep that many
+  nanoseconds.
 * :mod:`repro.sim.primitives` provides the blocking building blocks used by
   the fabric and the endpoints: FIFO queues, semaphores, mutexes, broadcast
   signals and rate-limited pipes.

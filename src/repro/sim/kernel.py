@@ -4,7 +4,8 @@ Time is an integer number of simulated nanoseconds.  The design follows the
 classic event-loop model: a priority queue of ``(time, sequence, entry)``
 entries is drained in order, and each entry runs its callbacks when popped.
 Processes are generators; yielding an :class:`Event` suspends the process
-until the event fires.
+until the event fires, and yielding a plain ``int`` suspends it for that
+many nanoseconds.
 
 Hot-path notes (the "kernel fast path", see DESIGN.md):
 
@@ -17,14 +18,25 @@ Hot-path notes (the "kernel fast path", see DESIGN.md):
   bare callable as the heap payload — no :class:`Event`, no carrier
   object, no callback list.  The drain loop distinguishes payloads with
   one ``isinstance(entry, Event)`` check.
-* :class:`Timeout` objects consumed by exactly one waiting process (the
-  ubiquitous ``yield sim.timeout(...)`` pattern) are returned to a
-  per-simulator free list and reused by the next ``timeout()`` call.
-  Retaining a fired Timeout past the resumption of its waiter and reading
-  ``.value`` / ``.processed`` later is unsupported; attach a callback or
-  use a fresh :class:`Event` for that.
-* Starting a :class:`Process` schedules its first resumption directly
-  instead of allocating a bootstrap :class:`Event`.
+* Int sleeps: ``yield 250`` queues the process's cached resume callback
+  at ``now + 250`` — exactly the queue position a ``sim.timeout(250)``
+  created just before the yield takes — so a CPU charge or a hold costs
+  no event, no callback list and no bound method.  Only an exact
+  ``int`` sleeps (not ``bool``, not a numpy integer); anything else that
+  is not an :class:`Event`, and a negative int, is thrown back into the
+  generator as :class:`SimError`.
+* An event's callbacks live in one slot that holds a single callable and
+  becomes a list only when a second callback is added.
+* :class:`Timeout` objects consumed by exactly one waiting process are
+  returned to a per-simulator free list and reused by the next
+  ``timeout()`` call.  The blocking primitives hand out such pooled
+  timeouts when a ``get``/``acquire`` can be served at once.  Retaining a
+  fired Timeout past the resumption of its waiter and reading ``.value``
+  / ``.processed`` later is unsupported; attach a callback or use a fresh
+  :class:`Event` for that.
+* A process binds its resume callback once; every wait queues that one
+  callable, and its first resumption is that callable, scheduled
+  directly — no bootstrap :class:`Event`.
 
 None of this changes observable behaviour: heap entries are created at the
 same simulated times in the same relative order as before, so simulated
@@ -34,7 +46,7 @@ end times are bit-identical.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Union
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -92,7 +104,9 @@ class Event:
         self._state = _PENDING
         self._ok = True
         self._value: Any = None
-        self._callbacks: List[Callable[["Event"], None]] = []
+        # None, one callable, or a list once a second callback is added.
+        self._callbacks: Union[None, Callable[["Event"], None],
+                               List[Callable[["Event"], None]]] = None
 
     @property
     def triggered(self) -> bool:
@@ -144,14 +158,26 @@ class Event:
         """
         if self._state == _PROCESSED:
             self.sim.call_soon(lambda: callback(self))
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = callback
+        elif isinstance(callbacks, list):
+            callbacks.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [callbacks, callback]
 
     def _run_callbacks(self) -> None:
         self._state = _PROCESSED
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks is None:
+            return
+        self._callbacks = None
+        if isinstance(callbacks, list):
+            for callback in callbacks:
+                callback(self)
+        else:
+            callbacks(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
@@ -178,50 +204,67 @@ class Timeout(Event):
 
     def _run_callbacks(self) -> None:
         self._state = _PROCESSED
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callback = self._callbacks
+        if callback is None:
+            return
+        self._callbacks = None
+        if isinstance(callback, list):
+            for each in callback:
+                each(self)
+            return
+        callback(self)
         # Recycle the ``yield sim.timeout(...)`` pattern: exactly one
         # waiter, and that waiter is a process resumption.  Condition
-        # events (_check callbacks), multi-waiter timeouts and explicit
-        # user callbacks keep the object alive and are never pooled.
-        if len(callbacks) == 1 and \
-                getattr(callbacks[0], "__func__", None) is Process._resume:
+        # events (_check callbacks), multi-waiter timeouts, explicit
+        # user callbacks and timeouts nobody waited on keep the object
+        # alive and are never pooled.
+        if getattr(callback, "__func__", None) is _process_resume:
             pool = self.sim._timeout_pool
             if len(pool) < _POOL_MAX:
                 self._value = None
                 pool.append(self)
 
 
+#: what a process resumes with when an int sleep (or its first step) is
+#: due: processed, ok, value None.  Never queued or waited on itself.
+_WAKE = Event.__new__(Event)
+_WAKE._state = _PROCESSED
+_WAKE._ok = True
+_WAKE._value = None
+_WAKE._callbacks = None
+
+
 class Process(Event):
     """A running generator; doubles as the event fired at termination.
 
-    The process resumes each time the event it yielded fires.  A failed
-    event is thrown into the generator; an uncaught exception fails the
-    process event, and escapes to :meth:`Simulator.run` if nothing waits on
-    the process.
+    The process resumes each time the event it yielded fires, or once the
+    number of nanoseconds it yielded as an ``int`` has passed.  A failed
+    event is thrown into the generator, and so is a :class:`SimError` for
+    a yield that is neither; an uncaught exception fails the process
+    event, and escapes to :meth:`Simulator.run` if nothing waits on the
+    process.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "_observed",
-                 "name")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_observed", "name",
+                 "_resume_cb", "_stale")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self._generator = generator
         self._send = generator.send
-        self._throw = generator.throw
-        self._waiting_on: Optional[Event] = None
+        # The yielded Event, or the wake-up time of an int sleep.
+        self._waiting_on: Union[None, Event, int] = None
         self._observed = False
         self.name = name or getattr(generator, "__name__", "process")
+        # Bound once, and queued by every wait: called with the event
+        # waited on, or with no argument when an int sleep is due.
+        self._resume_cb = self._resume
+        # Wake-up time -> count of queued wakes an interrupt cut short.
+        self._stale: Optional[Dict[int, int]] = None
         sim.processes_started += 1
         # Kick the process off at the current time (directly scheduled —
         # no bootstrap Event allocation).
-        sim.call_soon(self._bootstrap)
-
-    def _bootstrap(self) -> None:
-        # ``_init_event`` is a shared, already-processed Event carrying
-        # ``ok=True, value=None`` — the legacy bootstrap's trigger value.
-        self._resume(self.sim._init_event)
+        sim.call_soon(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -232,49 +275,111 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
+        that is waiting on an event or sleeping detaches it from that wait.
         """
         if not self.is_alive:
             raise SimError(f"cannot interrupt finished process {self.name!r}")
         poker = Event(self.sim)
-        poker.add_callback(self._resume)
+        poker.add_callback(self._resume_cb)
         poker.fail(Interrupt(cause))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Event = _WAKE) -> None:
         if self._state != _PENDING:
             # The process already ended (e.g. interrupted); stale wakeup.
             return
         waiting = self._waiting_on
-        if waiting is not None and event is not waiting:
-            # An interrupt arrived while waiting; the original event may
-            # still fire later, and must then be ignored.
-            if isinstance(event.value, Interrupt):
-                self._waiting_on = None
+        if event is not waiting:
+            if event is _WAKE:
+                # An int sleep (or the first step) is due, unless an
+                # interrupt cut that sleep short.
+                stale = self._stale
+                if stale is not None and self._drop_stale(stale):
+                    return
+            elif isinstance(event._value, Interrupt):
+                # An interrupt arrived while waiting; the original event
+                # (or sleep wake) may still fire later, and must then be
+                # ignored.
+                if type(waiting) is int:
+                    self._cut_sleep(waiting)
             else:
                 return
-        else:
-            self._waiting_on = None
         self.sim.process_wakeups += 1
-        try:
-            if event._ok:
-                target = self._send(event._value)
+        ok = event._ok
+        value = event._value
+        while True:
+            try:
+                if ok:
+                    target = self._send(value)
+                else:
+                    target = self._generator.throw(value)
+            except StopIteration as stop:
+                self._unbind()
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self._unbind()
+                self.fail(exc)
+                return
+            if type(target) is int:
+                if target >= 0:
+                    # Exactly where a ``sim.timeout(target)`` built just
+                    # before the yield would have been queued.
+                    sim = self.sim
+                    when = sim.now + target
+                    self._waiting_on = when
+                    bucket = sim._buckets.get(when)
+                    if bucket is None:
+                        sim._buckets[when] = [self._resume_cb]
+                        _heappush(sim._heap, when)
+                    else:
+                        bucket.append(self._resume_cb)
+                    return
+                value = SimError(
+                    f"process {self.name!r} yielded a negative sleep "
+                    f"({target} ns)"
+                )
+            elif isinstance(target, Event):
+                self._waiting_on = target
+                target.add_callback(self._resume_cb)
+                return
             else:
-                target = self._throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            exc = SimError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
-            )
-            self._throw(exc)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+                value = SimError(
+                    f"process {self.name!r} yielded {target!r}; processes "
+                    "must yield Event instances or int nanoseconds"
+                )
+            # A rejected yield raises at the yield, like any failure.
+            ok = False
+
+    def _unbind(self) -> None:
+        # The cached callback references this process.  Dropping it when
+        # the process ends leaves a finished process free of reference
+        # cycles, so reference counting reclaims it; a queued stale wake
+        # keeps its own reference and finds the process ended.
+        self._waiting_on = None
+        del self._resume_cb
+
+    def _cut_sleep(self, when: int) -> None:
+        """Mark the queued wake at ``when`` stale: an interrupt ended the
+        sleep early.  Any stale wake at ``when`` was queued before a live
+        wake at the same time could be, so it is dispatched first."""
+        stale = self._stale
+        if stale is None:
+            stale = self._stale = {}
+        stale[when] = stale.get(when, 0) + 1
+
+    def _drop_stale(self, stale: Dict[int, int]) -> bool:
+        """Consume one stale wake due now; True if there was one."""
+        now = self.sim.now
+        count = stale.get(now)
+        if not count:
+            return False
+        if count == 1:
+            del stale[now]
+            if not stale:
+                self._stale = None
+        else:
+            stale[now] = count - 1
+        return True
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         self._observed = True
@@ -285,6 +390,8 @@ class Process(Event):
         self.sim._defunct.append(self)
         return self
 
+
+_process_resume = Process._resume
 
 class _Condition(Event):
     """Base for AnyOf / AllOf composite events."""
@@ -364,9 +471,6 @@ class Simulator:
         self.max_queue_depth = 0
         # Free list for pooled Timeouts (see module docstring).
         self._timeout_pool: List[Timeout] = []
-        # Shared bootstrap event handed to every process's first resume.
-        self._init_event = Event(self)
-        self._init_event._state = _PROCESSED
 
     # -- scheduling ------------------------------------------------------
 

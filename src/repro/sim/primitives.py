@@ -4,6 +4,12 @@ These are the concurrency building blocks the fabric, verbs layer and
 shuffle endpoints are written against: FIFO queues, counting semaphores,
 mutexes, broadcast signals, and rate-limited pipes that model link
 serialization without per-packet events.
+
+A ``get``/``acquire`` that can be served at once returns a pooled
+``sim.timeout(0, value)``: it fires at the current time, in the queue
+position a fresh succeeded :class:`Event` would take, but like any
+pooled timeout it must not be kept past the resumption of the process
+that waited on it (see :mod:`repro.sim.kernel`).
 """
 
 from __future__ import annotations
@@ -50,11 +56,10 @@ class Queue:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        event = Event(self.sim)
         if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
+            return self.sim.timeout(0, self._items.popleft())
+        event = Event(self.sim)
+        self._getters.append(event)
         return event
 
     def try_get(self):
@@ -80,12 +85,11 @@ class Semaphore:
 
     def acquire(self) -> Event:
         """Return an event that fires once a unit has been acquired."""
-        event = Event(self.sim)
         if self._value > 0:
             self._value -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return self.sim.timeout(0)
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
@@ -104,13 +108,25 @@ class Semaphore:
 
 
 class Mutex(Semaphore):
-    """A binary semaphore with lock/unlock naming and hold-time helper."""
+    """A binary semaphore with lock/unlock naming and hold-time helper.
+
+    Releasing a mutex nobody holds is an error, not a second unit.
+    """
 
     def __init__(self, sim: Simulator):
         super().__init__(sim, value=1)
 
     def lock(self) -> Event:
         return self.acquire()
+
+    def release(self) -> None:
+        """Release the mutex, handing it to the oldest waiter if any."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        elif self._value:
+            raise SimError("unlock of a mutex that is not held")
+        else:
+            self._value = 1
 
     def unlock(self) -> None:
         self.release()
@@ -120,10 +136,11 @@ class Mutex(Semaphore):
 
         Usage: ``yield from mutex.critical_section(250)``.  Models a short
         serialized critical section such as posting to a shared Queue Pair.
+        ``hold_ns`` is an int number of nanoseconds.
         """
         yield self.acquire()
         if hold_ns:
-            yield self.sim.timeout(hold_ns)
+            yield hold_ns
         self.release()
 
 

@@ -74,17 +74,17 @@ def connect_rc_pair(ctx: VerbsContext, qp: QueuePair,
     routing-information round trip).  Each side pays for its own QP, as in
     the real handshake.
     """
-    yield ctx.sim.timeout(ctx.config.rc_qp_connect_ns)
+    yield int(ctx.config.rc_qp_connect_ns)
     qp.connect(remote)
 
 
 def setup_ud_qp(ctx: VerbsContext, qp: QueuePair):
     """Process fragment: bring a UD QP to ready-to-send."""
-    yield ctx.sim.timeout(ctx.config.ud_qp_setup_ns)
+    yield int(ctx.config.ud_qp_setup_ns)
     qp.activate()
 
 
 def create_ah(ctx: VerbsContext, node_id: int, qpn: int):
     """Process fragment: create an address handle for a UD destination."""
-    yield ctx.sim.timeout(ctx.config.ah_create_ns)
+    yield int(ctx.config.ah_create_ns)
     return AddressHandle(node_id, qpn)

@@ -176,7 +176,7 @@ class VerbsContext:
         pages = max(1, -(-length // config.page_size))
         cost = config.mr_register_base_ns + pages * config.mr_register_ns_per_page
         self.mr_register_ns += cost
-        yield self.sim.timeout(cost)
+        yield int(cost)
         return self.reg_mr(length, tenant=tenant)
 
     def dereg_mr(self, mr: MemoryRegion) -> None:
@@ -188,7 +188,7 @@ class VerbsContext:
     def dereg_mr_timed(self, mr: MemoryRegion):
         """Process fragment: deregister memory, charging unpin time."""
         pages = max(1, -(-mr.length // self.config.page_size))
-        yield self.sim.timeout(pages * self.config.mr_deregister_ns_per_page)
+        yield int(pages * self.config.mr_deregister_ns_per_page)
         self.dereg_mr(mr)
 
     # -- accounting ------------------------------------------------------------

@@ -60,6 +60,33 @@ class TestBatchHelpers:
         assert concat_batches([t]) is t
         assert len(concat_batches([t, t])) == 8
 
+    def test_concat_same_dtype_matches_numpy(self):
+        parts = [make_table(5, seed=1), make_table(3, seed=2)[1:],
+                 make_table(7, seed=3)]
+        joined = concat_batches(parts)
+        expected = np.concatenate(parts)
+        assert joined.dtype == expected.dtype
+        assert joined.tobytes() == expected.tobytes()
+
+    def test_concat_mixed_dtypes_promote(self):
+        narrow = np.zeros(2, dtype=[("k", "<i4"), ("v", "<i8")])
+        narrow["k"] = [7, 8]
+        wide = make_table(3)
+        joined = concat_batches([narrow, wide])
+        expected = np.concatenate([narrow, wide])
+        assert joined.dtype == expected.dtype == wide.dtype
+        assert list(joined["k"][:2]) == [7, 8]
+        assert np.array_equal(joined, expected)
+
+    def test_concat_padded_dtype_matches_numpy(self):
+        padded = np.dtype({"names": ["k", "v"], "formats": ["<i4", "<i8"],
+                           "offsets": [0, 8], "itemsize": 24})
+        parts = [np.ones(2, dtype=padded), np.zeros(1, dtype=padded)]
+        joined = concat_batches(parts)
+        expected = np.concatenate(parts)
+        assert joined.dtype == expected.dtype
+        assert np.array_equal(joined, expected)
+
 
 class TestScan:
     def test_scan_returns_all_rows_across_threads(self, cluster):

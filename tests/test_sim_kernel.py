@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +12,9 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Mutex,
+    Process,
+    Queue,
     SimError,
     Simulator,
 )
@@ -55,6 +61,86 @@ class TestEvent:
         ev.succeed(delay=500)
         sim.run()
         assert times == [500]
+
+
+class TestIntSleep:
+    def test_int_sleep_advances_clock(self, sim):
+        def proc():
+            yield 100
+            yield 0
+            yield 250
+            return sim.now
+
+        assert sim.run_process(proc()) == 350
+
+    def test_int_sleep_takes_the_timeouts_queue_position(self, sim):
+        order = []
+
+        def sleeper(name, use_int):
+            yield 10 if use_int else sim.timeout(10)
+            order.append(name)
+
+        sim.process(sleeper("timeout-first", False))
+        sim.process(sleeper("int-second", True))
+        sim.process(sleeper("timeout-third", False))
+        sim.run()
+        assert order == ["timeout-first", "int-second", "timeout-third"]
+
+    def test_interrupt_during_int_sleep(self, sim):
+        resumed = []
+
+        def proc(retry):
+            try:
+                yield 1000
+            except Interrupt:
+                resumed.append(("interrupted", sim.now))
+            yield retry
+            resumed.append(("slept", sim.now))
+            yield 0
+            resumed.append(("again", sim.now))
+
+        # A later, longer sleep ends on time: the stale wake at 1000 is
+        # ignored.
+        p = sim.process(proc(2000))
+        sim.call_at(10, lambda: p.interrupt())
+        sim.run()
+        assert resumed == [("interrupted", 10), ("slept", 2010),
+                           ("again", 2010)]
+        assert p.processed and p.ok
+
+    def test_interrupt_during_int_sleep_with_coinciding_wake(self, sim):
+        # The new sleep ends exactly when the cut-short one would have:
+        # the stale wake goes first and is dropped, the live one resumes
+        # the process once, in its own queue position (after a marker
+        # queued between the two).
+        resumed = []
+
+        def proc():
+            try:
+                yield 1000
+            except Interrupt:
+                yield 990
+                resumed.append(sim.now)
+                yield 0
+                resumed.append(sim.now)
+
+        p = sim.process(proc())
+        sim.call_at(5, lambda: sim.call_at(
+            1000, lambda: resumed.append("marker")))
+        sim.call_at(10, lambda: p.interrupt())
+        sim.run()
+        assert resumed == ["marker", 1000, 1000]
+        assert sim.process_wakeups == 4
+
+    def test_served_at_once_get_keeps_its_value(self, sim):
+        queue = Queue(sim)
+        queue.put("item")
+        got = queue.get()
+        mutex = Mutex(sim)
+        locked = mutex.lock()
+        sim.run()
+        assert got.processed and got.ok and got.value == "item"
+        assert locked.processed and locked.ok
 
 
 class TestTimeout:
@@ -125,11 +211,61 @@ class TestProcess:
         assert sim.run_process(parent()) == (100, "child result")
 
     def test_yielding_non_event_is_error(self, sim):
-        def proc():
-            yield 42
+        # An exact int is a sleep; anything else that is not an Event —
+        # bools and numpy integers included — is rejected, and so is a
+        # negative sleep.
+        for bad in ("x", 1.5, None, True, np.int64(5)):
+            def proc(bad=bad):
+                yield bad
 
-        with pytest.raises(SimError, match="must.*yield Event"):
-            sim.run_process(proc())
+            with pytest.raises(SimError,
+                               match="must yield Event instances or int"):
+                Simulator().run_process(proc())
+
+        def negative():
+            yield -1
+
+        with pytest.raises(SimError, match="negative sleep"):
+            sim.run_process(negative())
+
+    def test_rejected_yield_can_be_caught(self, sim):
+        def proc():
+            try:
+                yield "not an event"
+            except SimError:
+                pass
+            yield sim.timeout(5)
+            return sim.now
+
+        p = sim.process(proc())
+        sim.run()
+        assert not p.is_alive
+        assert p.value == 5
+
+    def test_child_bad_yield_fails_the_child(self, sim):
+        def child():
+            yield 1.5
+
+        def parent():
+            try:
+                yield sim.process(child())
+            except SimError as exc:
+                return f"caught: {exc}"
+
+        assert sim.run_process(parent()).startswith("caught: process")
+
+    def test_negative_sleep_fails_the_process(self, sim):
+        def child():
+            yield 10
+            yield -5
+
+        def parent():
+            try:
+                yield sim.process(child())
+            except SimError:
+                return sim.now
+
+        assert sim.run_process(parent()) == 10
 
     def test_unobserved_process_failure_raises_from_run(self, sim):
         def proc():
@@ -164,6 +300,25 @@ class TestProcess:
         sim.process(proc("second"))
         sim.run()
         assert order == ["first", "second"]
+
+
+def test_finished_process_is_freed_by_refcounting():
+    """A finished process holds no reference cycle, so it is reclaimed
+    without waiting for the cyclic garbage collector."""
+    sim = Simulator()
+
+    def proc():
+        yield 5
+        yield sim.timeout(1)
+
+    gc.disable()
+    try:
+        sim.process(proc())
+        sim.run()
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) is Process and obj.sim is sim]
+    finally:
+        gc.enable()
 
 
 class TestInterrupt:
@@ -372,3 +527,71 @@ def test_run_until_never_moves_clock_backwards():
     assert fired == []
     sim.run()
     assert fired == ["later"]
+
+
+# -- int sleeps and pooled events keep the queue order ------------------------
+
+_OPS = st.one_of(
+    st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("soon"), st.just(0)),
+    st.tuples(st.just("later"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("get"), st.just(0)),
+)
+
+
+def _run_schedule(scripts, timeouts_only):
+    """Run one process per script; log every resumption and callback.
+
+    With ``timeouts_only`` each wait and callback is written with
+    ``sim.timeout``: int sleeps and served-at-once ``Queue.get``s as a
+    timeout yield, ``call_soon``/``call_later`` as a timeout callback.
+    """
+    sim = Simulator()
+    log = []
+
+    def proc(pid, script):
+        queue = Queue(sim)
+        for step, (op, delay) in enumerate(script):
+            tag = (pid, step)
+            if op == "sleep":
+                yield sim.timeout(delay) if timeouts_only else delay
+            elif op == "timeout":
+                yield sim.timeout(delay)
+            elif op == "get":
+                if timeouts_only:
+                    got = yield sim.timeout(0, tag)
+                else:
+                    queue.put(tag)
+                    got = yield queue.get()
+                assert got == tag
+            else:
+                delay = 0 if op == "soon" else delay
+
+                def fire(tag=tag):
+                    log.append((sim.now, "callback", tag))
+
+                if timeouts_only:
+                    sim.timeout(delay).add_callback(lambda _e, f=fire: f())
+                elif op == "soon":
+                    sim.call_soon(fire)
+                else:
+                    sim.call_later(delay, fire)
+            log.append((sim.now, "process", tag))
+
+    for pid, script in enumerate(scripts):
+        sim.process(proc(pid, script))
+    sim.run()
+    return log, sim.events_dispatched, sim.process_wakeups
+
+
+@given(st.lists(st.lists(_OPS, max_size=12), min_size=1, max_size=5))
+def test_int_sleeps_dispatch_like_timeouts(scripts):
+    """Int sleeps, pooled served-at-once gets and bare callbacks dispatch
+    in exactly the order of the same schedule built from timeouts."""
+    mixed = _run_schedule(scripts, timeouts_only=False)
+    reference = _run_schedule(scripts, timeouts_only=True)
+    assert mixed == reference
+    assert len(mixed[0]) == sum(
+        len(script) + sum(op in ("soon", "later") for op, _ in script)
+        for script in scripts)

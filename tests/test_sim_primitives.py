@@ -156,6 +156,31 @@ class TestMutex:
         # b cannot finish its critical section before a releases.
         assert spans == [("a", 0, 100), ("b", 0, 200)]
 
+    def test_unlock_of_unheld_mutex_raises(self, sim):
+        mutex = Mutex(sim)
+        with pytest.raises(SimError, match="not held"):
+            mutex.unlock()
+        # The failed unlock added no second unit: lockers still queue.
+        holds = []
+
+        def proc(name):
+            yield mutex.lock()
+            holds.append((name, sim.now))
+            yield 10
+            mutex.unlock()
+
+        sim.process(proc("a"))
+        sim.process(proc("b"))
+        sim.run()
+        assert holds == [("a", 0), ("b", 10)]
+        with pytest.raises(SimError):
+            mutex.unlock()
+
+    def test_semaphore_release_still_counts_up(self, sim):
+        sem = Semaphore(sim, value=1)
+        sem.release()
+        assert sem.value == 2
+
 
 class TestNotify:
     def test_notify_all_wakes_every_waiter(self, sim):
