@@ -21,7 +21,7 @@ a datagram) and a host-side hook reacts:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 from repro.memory import BufferPool
 from repro.verbs.constants import Opcode
@@ -131,7 +131,7 @@ class RingBoard:
     per peer, updated by inlined remote Writes.  Every write of a
     non-zero value is routed to ``on_value(key, value)``."""
 
-    __slots__ = ("mr", "cap", "base_by_key", "_regions", "_on_value",
+    __slots__ = ("mr", "cap", "base_by_key", "_keys", "_on_value",
                  "name", "validator")
 
     @classmethod
@@ -165,12 +165,12 @@ class RingBoard:
         tenant = getattr(getattr(ep, "config", None), "tenant", None)
         board.mr = yield from ep.ctx.reg_mr_timed(
             8 * cap * count, tenant=tenant)
-        board.base_by_key = {}
-        board._regions: List[Tuple[int, int, Any]] = []
-        for i, key in enumerate(keys):
-            base = board.mr.addr + 8 * cap * i
-            board.base_by_key[key] = base
-            board._regions.append((base, base + 8 * cap, key))
+        # Rings are carved contiguously: key i owns the ``8 * cap``
+        # bytes from ``mr.addr + 8 * cap * i``.
+        board._keys = list(keys)
+        board.base_by_key = {
+            key: board.mr.addr + 8 * cap * i for i, key in enumerate(keys)
+        }
         board.mr.on_write.append(board._route)
         ep.aux_mrs.append(board.mr)
         return board
@@ -178,13 +178,15 @@ class RingBoard:
     def _route(self, addr: int, value: int) -> None:
         if value == 0:
             return
-        for lo, hi, key in self._regions:
-            if lo <= addr < hi:
-                hook = self.mr.probes.ring_consume
-                if hook is not None:
-                    hook(self, lo, key, value)
-                self._on_value(key, value)
-                return
+        ring_bytes = 8 * self.cap
+        index = (addr - self.mr.addr) // ring_bytes
+        if index >= len(self._keys):
+            return  # the spare ring of a ``min_one`` board with no keys
+        key = self._keys[index]
+        hook = self.mr.probes.ring_consume
+        if hook is not None:
+            hook(self, self.mr.addr + ring_bytes * index, key, value)
+        self._on_value(key, value)
 
 
 class CreditDatagramPort:

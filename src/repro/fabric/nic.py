@@ -139,14 +139,6 @@ class NIC:
                  self.config.nic_wr_ns, penalty, extra_ns, flow, 0)
         return self.config.nic_wr_ns + penalty + extra_ns
 
-    def process_wr(self, qpn: int, extra_ns: int = 0, flow: int = 0) -> Event:
-        """Occupy the processing engine for one work request on ``qpn``.
-
-        Returns the event fired when the NIC has finished processing (the
-        point at which the message starts serializing onto the wire).
-        """
-        return self.processor.occupy(self._start_wr(qpn, extra_ns, flow))
-
     def occupy_engine(self, duration_ns: int) -> Event:
         """Occupy the processing engine outside any QP (MPI doorbells);
         not a work request, so ``pipe_occupy`` carries flow ``None``."""
@@ -158,8 +150,9 @@ class NIC:
 
     def submit_wr(self, qpn: int, func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
-        """Callback form of :meth:`process_wr`: runs ``func()`` once the
-        engine has processed the work request."""
+        """Occupy the processing engine for one work request on ``qpn``;
+        runs ``func()`` once the NIC has finished processing it (the
+        point at which the message starts serializing onto the wire)."""
         self.processor.submit_occupy(self._start_wr(qpn, extra_ns, flow),
                                      func)
 

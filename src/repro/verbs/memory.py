@@ -85,12 +85,14 @@ class MemoryRegion:
 
     # -- bulk payload objects ----------------------------------------------
 
-    def set_object(self, addr: int, obj: Any) -> None:
-        self._check(addr)
+    def set_object(self, addr: int, obj: Any, nbytes: int = 1) -> None:
+        """Store ``obj`` as the ``nbytes`` starting at ``addr``."""
+        self._check(addr, nbytes)
         self._objects[addr] = obj
 
-    def get_object(self, addr: int) -> Any:
-        self._check(addr)
+    def get_object(self, addr: int, nbytes: int = 1) -> Any:
+        """The object stored at ``addr``, read as ``nbytes`` bytes."""
+        self._check(addr, nbytes)
         return self._objects.get(addr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -172,16 +172,15 @@ class QueuePair:
             raise VerbsError(error)
         self._send_outstanding += 1
         self.sends_posted += 1
-        # Send runs as a flat callback chain; RDMA Read/Write stay on
-        # generator processes — they are off the shuffle hot loop.
+        # Every verb runs as a flat callback chain: no process per WR.
         if self.qp_type is QPType.UD:
             self._ud_send(wr)
         elif wr.opcode is Opcode.SEND:
             self._rc_send(wr)
+        elif wr.opcode is Opcode.READ:
+            self._rc_read(wr)
         else:
-            rdma = {Opcode.READ: self._rc_read, Opcode.WRITE: self._rc_write}
-            self.ctx.sim.process(rdma[wr.opcode](wr),
-                                 name=f"qp{self.qpn}-{wr.opcode.value}")
+            self._rc_write(wr)
 
     def _send_error(self, wr: SendWR) -> Optional[str]:
         """Why ``ibv_post_send`` must reject ``wr``, or None."""
@@ -201,6 +200,9 @@ class QueuePair:
             return "RC QP is not connected"
         elif wr.length > MAX_RC_MSG:
             return f"RC message of {wr.length} B exceeds 1 GiB"
+        elif wr.opcode is Opcode.READ and wr.length > wr.buffer.capacity:
+            return (f"RDMA Read of {wr.length} B exceeds the local buffer "
+                    f"capacity {wr.buffer.capacity}")
         return None
 
     # -- completion helpers ----------------------------------------------------
@@ -315,58 +317,89 @@ class QueuePair:
 
         sim.call_soon(start)
 
-    def _rc_read(self, wr: SendWR):
-        config = self.ctx.config
+    def _rc_read(self, wr: SendWR) -> None:
+        """An RDMA Read as a flat callback chain: NIC processing, the
+        request to the peer, the remote NIC serving it (the remote CPU
+        stays passive), and the response deposited locally."""
+        ctx = self.ctx
+        sim = ctx.sim
+        config = ctx.config
         peer = self._peer
         assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
-        yield self.ctx.nic.process_wr(self.qpn, flow=wr.flow)
-        request = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
-            length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
-        )
-        yield self.ctx.fabric.route(request)
-        # The remote CPU stays passive: the remote *NIC* serves the read.
-        remote = self.ctx.peer_context(peer.node_id)
-        yield remote.nic.process_wr(peer.qpn, flow=wr.flow)
-        mr = remote.memory.resolve(wr.remote_addr)
-        response = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=self.qpn, kind="READ_RESP",
-            length=wr.length, transport="RC",
-            payload=mr.get_object(wr.remote_addr), flow=wr.flow,
-        )
-        response = yield self.ctx.fabric.route(response)
-        if wr.buffer is not None:
-            wr.buffer.deposit(response.payload, wr.length)
-        self._complete_send(wr, t0)
+        t0 = sim.now
 
-    def _rc_write(self, wr: SendWR):
-        config = self.ctx.config
+        def start() -> None:
+            ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
+
+        def after_wr() -> None:
+            ctx.fabric.route(make_train(
+                config, src_node=ctx.node_id, dst_node=peer.node_id,
+                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
+                length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
+            )).add_callback(requested)
+
+        def requested(_evt: Event) -> None:
+            ctx.peer_context(peer.node_id).nic.submit_wr(
+                peer.qpn, served, flow=wr.flow)
+
+        def served() -> None:
+            remote = ctx.peer_context(peer.node_id)
+            mr = remote.memory.resolve(wr.remote_addr)
+            payload = mr.get_object(wr.remote_addr, max(1, wr.length))
+            ctx.fabric.route(make_train(
+                config, src_node=peer.node_id, dst_node=ctx.node_id,
+                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="READ_RESP",
+                length=wr.length, transport="RC", payload=payload,
+                flow=wr.flow,
+            )).add_callback(responded)
+
+        def responded(arrival: Event) -> None:
+            wr.buffer.deposit(arrival.value.payload, wr.length)
+            self._complete_send(wr, t0)
+
+        sim.call_soon(start)
+
+    def _rc_write(self, wr: SendWR) -> None:
+        """An RDMA Write as a flat callback chain: NIC processing, the
+        route to the peer, the store into its memory region, and the
+        hardware ack back."""
+        ctx = self.ctx
+        sim = ctx.sim
+        config = ctx.config
         peer = self._peer
         assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
+        t0 = sim.now
         # Inlined payloads skip the extra DMA fetch of the payload [16].
         extra = 0 if wr.inline else config.nic_wr_ns
-        yield self.ctx.nic.process_wr(self.qpn, extra_ns=extra, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="WRITE",
-            length=max(wr.length, 8 if wr.value is not None else 0),
-            transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            flow=wr.flow,
-        )
-        packet = yield self.ctx.fabric.route(packet)
-        remote = self.ctx.peer_context(peer.node_id)
-        mr = remote.memory.resolve(wr.remote_addr)
-        if wr.value is not None:
-            mr.write_u64(wr.remote_addr, wr.value)
-        else:
-            mr.set_object(wr.remote_addr, packet.payload)
-        yield self.ctx.fabric.route(self._ack_train(wr))
-        self._complete_send(wr, t0)
+
+        def start() -> None:
+            ctx.nic.submit_wr(self.qpn, after_wr, extra_ns=extra,
+                              flow=wr.flow)
+
+        def after_wr() -> None:
+            ctx.fabric.route(make_train(
+                config, src_node=ctx.node_id, dst_node=peer.node_id,
+                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="WRITE",
+                length=max(wr.length, 8 if wr.value is not None else 0),
+                transport="RC",
+                payload=None if wr.buffer is None else wr.buffer.payload,
+                flow=wr.flow,
+            )).add_callback(arrived)
+
+        def arrived(arrival: Event) -> None:
+            remote = ctx.peer_context(peer.node_id)
+            mr = remote.memory.resolve(wr.remote_addr)
+            if wr.value is not None:
+                mr.write_u64(wr.remote_addr, wr.value)
+            else:
+                mr.set_object(wr.remote_addr, arrival.value.payload,
+                              max(1, wr.length))
+            ctx.fabric.route(self._ack_train(wr)).add_callback(acked)
+
+        def acked(_evt: Event) -> None:
+            self._complete_send(wr, t0)
+
+        sim.call_soon(start)
 
     # -- Unreliable Datagram data path ---------------------------------------
 

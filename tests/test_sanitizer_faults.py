@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterConfig, EDR, EndpointConfig
-from repro.analysis import RUNTIME_RULES, Sanitizer
+from repro.analysis import RUNTIME_RULES, ProtocolViolationError, Sanitizer
 from repro.core.designs import Design, register_endpoint_kind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
 from repro.core.transport.connections import PeerConnection
@@ -128,6 +128,22 @@ class TestMRLifetimeRule:
             ctxs[0].dereg_mr(mr)
         assert rules_of(san) == ["mr-lifetime"]
         assert san.violations[0].details["kind"] == "double-deregister"
+
+    def test_rdma_write_overrunning_remote_mr(self, sim):
+        fabric, ctxs, san = sanitized_cluster(sim)
+        strict = fabric.probes.attach(Sanitizer(sim, strict=True))
+        (qp0, _), _ = rc_pair(ctxs)
+        target = ctxs[1].reg_mr(4096)
+        pool = BufferPool(ctxs[0], 1, 65536)
+        pool.buffers[0].fill("bulk", 65536)
+        qp0.post_send(SendWR(wr_id="w", opcode=Opcode.WRITE,
+                             buffer=pool.buffers[0], length=65536,
+                             remote_addr=target.addr + 4096 - 8))
+        with pytest.raises(ProtocolViolationError, match="mr-lifetime"):
+            sim.run()
+        assert rules_of(san) == rules_of(strict) == ["mr-lifetime"]
+        assert strict.violations[0].details["kind"] == "out-of-bounds"
+        assert strict.violations[0].details["addr"] == target.addr + 4088
 
 
 class TestBufferReuseRule:

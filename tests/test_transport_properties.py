@@ -6,11 +6,13 @@ runtime sanitizer: whatever order posts, completions and recycles land
 in, the protocol invariants must hold and the sanitizer must stay quiet.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.transport.connections import PeerConnection
-from repro.core.transport.credit import grant_credit
+from repro.core.transport.credit import RingBoard, grant_credit
 from repro.core.transport.rings import BufferRing, PendingTable, RingCursor
 from repro.memory import BufferPool
 from repro.sim import Notify, Simulator
@@ -112,3 +114,38 @@ class TestBufferRingUnderSanitizer:
         assert in_flight == 0
         assert len(available) == 4, "buffer leaked or duplicated"
         assert san.violations == []
+
+
+class TestRingBoardRouting:
+    @staticmethod
+    def install(keys, cap, min_one=False):
+        sim = Simulator()
+        _, ctxs, _ = sanitized_cluster(sim)
+        seen = []
+        ep = SimpleNamespace(ctx=ctxs[1], aux_mrs=[])
+        board = sim.run_process(RingBoard.install(
+            ep, keys=keys, cap=cap, min_one=min_one,
+            on_value=lambda key, value: seen.append((key, value))))
+        return board, seen
+
+    @given(keys=st.lists(st.integers(0, 50), min_size=1, max_size=6,
+                         unique=True),
+           cap=st.integers(1, 5))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_every_slot_reaches_its_key(self, keys, cap):
+        board, seen = self.install(keys, cap)
+        expected = []
+        for key in keys:
+            for slot in range(cap):
+                value = 1000 * key + slot + 1
+                board.mr.write_u64(board.base_by_key[key] + 8 * slot, value)
+                expected.append((key, value))
+        assert seen == expected
+
+    def test_spare_ring_reaches_nobody(self):
+        board, seen = self.install([], cap=3, min_one=True)
+        assert board.base_by_key == {}
+        for slot in range(3):
+            board.mr.write_u64(board.mr.addr + 8 * slot, 7)
+        assert seen == []

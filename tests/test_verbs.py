@@ -281,6 +281,19 @@ class TestRdmaWrite:
         with pytest.raises(VerbsError):
             SendWR(wr_id=0, opcode=Opcode.WRITE, remote_addr=100)
 
+    def test_write_past_end_of_remote_mr_fails(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), _ = rc_pair(ctxs)
+        target = ctxs[1].reg_mr(4096)
+        spool = BufferPool(ctxs[0], 1, 65536)
+        spool.buffers[0].fill("bulk", 65536)
+        # The first byte is inside the MR, the remaining 65,528 are not.
+        qp0.post_send(SendWR(wr_id="w", opcode=Opcode.WRITE,
+                             buffer=spool.buffers[0], length=65536,
+                             remote_addr=target.addr + 4096 - 8))
+        with pytest.raises(VerbsError, match="outside MR"):
+            sim.run()
+
 
 class TestRdmaRead:
     def test_read_pulls_remote_buffer(self, sim):
@@ -304,6 +317,94 @@ class TestRdmaRead:
     def test_read_needs_local_buffer(self):
         with pytest.raises(VerbsError):
             SendWR(wr_id=0, opcode=Opcode.READ, length=10, remote_addr=100)
+
+    def test_read_larger_than_local_buffer_rejected_at_post(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), _ = rc_pair(ctxs)
+        rpool = BufferPool(ctxs[1], 1, 65536)
+        lpool = BufferPool(ctxs[0], 1, 4096)
+        with pytest.raises(VerbsError,
+                           match="RDMA Read of 65536 B exceeds the local "
+                                 "buffer capacity 4096"):
+            qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                                 buffer=lpool.buffers[0], length=65536,
+                                 remote_addr=rpool.buffers[0].addr))
+        assert lpool.buffers[0].length == 0
+        assert qp0.sends_posted == 0
+
+    def test_read_from_unregistered_memory_fails(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), _ = rc_pair(ctxs)
+        lpool = BufferPool(ctxs[0], 1, 4096)
+        qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                             buffer=lpool.buffers[0], length=64,
+                             remote_addr=0xBAD))
+        with pytest.raises(VerbsError, match="not in any registered region"):
+            sim.run()
+
+    def test_read_past_end_of_remote_mr_fails(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), _ = rc_pair(ctxs)
+        source = ctxs[1].reg_mr(4096)
+        lpool = BufferPool(ctxs[0], 1, 65536)
+        qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                             buffer=lpool.buffers[0], length=65536,
+                             remote_addr=source.addr + 4096 - 8))
+        with pytest.raises(VerbsError, match="outside MR"):
+            sim.run()
+        assert lpool.buffers[0].length == 0
+
+
+class TestOneSidedVerbChains:
+    def test_read_and_write_complete_without_a_process(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), (cq0, _) = rc_pair(ctxs)
+        rpool = BufferPool(ctxs[1], 2, 4096)
+        lpool = BufferPool(ctxs[0], 2, 4096)
+        rpool.buffers[0].fill("remote", 4096)
+        lpool.buffers[1].fill("local", 4096)
+        started = sim.processes_started
+        qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                             buffer=lpool.buffers[0], length=4096,
+                             remote_addr=rpool.buffers[0].addr))
+        qp0.post_send(SendWR(wr_id="wr", opcode=Opcode.WRITE,
+                             buffer=lpool.buffers[1], length=4096,
+                             remote_addr=rpool.buffers[1].addr))
+        sim.run()
+        assert sim.processes_started == started
+        assert [wc.wr_id for wc in cq0.poll(8)] == ["rd", "wr"]
+        assert lpool.buffers[0].payload == "remote"
+        assert rpool.mr.get_object(rpool.buffers[1].addr) == "local"
+
+    def test_work_requests_reach_the_nic_in_post_order(self, sim):
+        """Every verb's first step takes the same queue slot, so mixed
+        Sends, Reads and Writes posted together start in post order."""
+        fabric, ctxs = make_cluster(sim)
+        (qp0, qp1), _ = rc_pair(ctxs)
+        rpool = BufferPool(ctxs[1], 4, 4096)
+        lpool = BufferPool(ctxs[0], 2, 4096)
+        started = []
+
+        def on_pipe_occupy(kind, owner, _busy, _base, _penalty, _extra,
+                           flow, _nbytes):
+            if (kind, owner) == ("proc", 0):
+                started.append(flow)
+
+        fabric.probes.subscribe("pipe_occupy", on_pipe_occupy)
+        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffers[3], length=4096))
+        qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=64,
+                             flow=1))
+        qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                             buffer=lpool.buffers[0], length=4096,
+                             remote_addr=rpool.buffers[0].addr, flow=2))
+        qp0.post_send(SendWR(wr_id="w", opcode=Opcode.WRITE,
+                             remote_addr=rpool.buffers[1].addr, value=7,
+                             inline=True, flow=3))
+        qp0.post_send(SendWR(wr_id="rd2", opcode=Opcode.READ,
+                             buffer=lpool.buffers[1], length=4096,
+                             remote_addr=rpool.buffers[2].addr, flow=4))
+        sim.run()
+        assert started == [1, 2, 3, 4]
 
 
 class TestUD:
