@@ -1,10 +1,10 @@
-"""Perf guard: telemetry must be cheap enough to stay on by default.
+"""Perf guard: opt-in link recording stays a small constant factor.
 
-The instrumentation strategy (DESIGN.md, "Observability") keeps hot paths
-to plain integer adds and harvests lazily at snapshot time, so the
-default-enabled mode should cost the same wall-clock time as the global
-no-op mode.  This guard fails if someone adds per-event registry or
-tracer work to a hot path.
+Metrics need no guard of their own: every layer keeps plain integer
+counters (one add per event) that are harvested lazily at snapshot time
+(DESIGN.md, "Observability"), and there is no other metrics mode to
+compare against.  What can creep onto the hot path is an optional
+observer, so this guard times the heaviest one, causal link recording.
 """
 
 import time
@@ -12,7 +12,6 @@ import time
 from repro.bench.workloads import run_repartition
 from repro.cluster import Cluster
 from repro.fabric.config import EDR, ClusterConfig
-from repro.telemetry import set_enabled
 
 MIB = 1 << 20
 ROUNDS = 5
@@ -27,42 +26,17 @@ def _shuffle_seconds(report: bool = False) -> float:
     return time.perf_counter() - t0
 
 
-def test_enabled_mode_within_10pct_of_noop(benchmark):
-    enabled_times, disabled_times = [], []
-    try:
-        # Interleave rounds so machine noise hits both modes equally;
-        # min-of-N is the standard low-noise wall-clock estimator.
-        for _ in range(ROUNDS):
-            set_enabled(True)
-            enabled_times.append(_shuffle_seconds())
-            set_enabled(False)
-            disabled_times.append(_shuffle_seconds())
-    finally:
-        set_enabled(True)
-    enabled, disabled = min(enabled_times), min(disabled_times)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info["enabled_s"] = round(enabled, 4)
-    benchmark.extra_info["disabled_s"] = round(disabled, 4)
-    assert enabled <= 1.10 * disabled, (
-        f"default-enabled telemetry is {enabled / disabled:.2f}x the "
-        f"no-op mode ({enabled:.3f}s vs {disabled:.3f}s); hot paths must "
-        "stay at plain integer adds"
-    )
-
-
 def test_link_recording_overhead_is_bounded(benchmark):
     """Opt-in link recording (``--report``) may cost something — it
     appends a record per WR, pipe interval and stall — but it must stay
     a small constant factor, never change complexity class.  The off
-    branch (``links is None``) is covered by the 10% guard above."""
+    branch (``links is None``) is one probe-point load per site."""
     recording_times, baseline_times = [], []
-    try:
-        for _ in range(ROUNDS):
-            set_enabled(True)
-            recording_times.append(_shuffle_seconds(report=True))
-            baseline_times.append(_shuffle_seconds(report=False))
-    finally:
-        set_enabled(True)
+    # Interleave rounds so machine noise hits both modes equally;
+    # min-of-N is the standard low-noise wall-clock estimator.
+    for _ in range(ROUNDS):
+        recording_times.append(_shuffle_seconds(report=True))
+        baseline_times.append(_shuffle_seconds(report=False))
     recording, baseline = min(recording_times), min(baseline_times)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["recording_s"] = round(recording, 4)

@@ -386,7 +386,7 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     needs (locals, not ``self``), or clear the stored reference when
     the protocol step retires.
     """
-    if not _in_scope(rel, ("sim/", "fabric/", "core/"),
+    if not _in_scope(rel, ("sim/", "fabric/", "verbs/", "core/"),
                      exclude=_VS109_EXEMPT):
         return
     for meth in ast.walk(tree):

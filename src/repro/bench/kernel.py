@@ -46,9 +46,8 @@ def bench_dispatch_events(num_events: int = 300_000,
                           chains: int = 64) -> Dict[str, Any]:
     """Raw callback dispatch: self-rescheduling ``call_at`` chains.
 
-    Exercises the scheduling path the fabric fast path lives on: heap
-    churn plus direct-callback carriers (pooled on the fast kernel,
-    Event + lambda on the legacy one — the same code runs on both).
+    Exercises the scheduling path the fabric lives on: heap churn plus
+    pooled direct-callback carriers.
     """
     sim = Simulator()
     remaining = [num_events]

@@ -217,7 +217,7 @@ class _EndpointBase:
             qps.append(qp)
         conns = getattr(self, "conns", None)
         if conns is not None:
-            qps.extend(conns.qps())
+            qps.extend(c.qp for c in conns.values() if c.qp is not None)
         return qps
 
     def registered_regions(self) -> List:

@@ -85,13 +85,11 @@ class TelemetrySnapshot:
         from repro.telemetry.core import nic_cache_stats
         miss_rate = nic_cache_stats(cluster)["miss_rate"]
         sim = cluster.sim
-        telemetry = cluster.telemetry
         stall_share = 0.0
         budget = sim.now * cluster.threads_per_node * cluster.num_nodes
         if budget > 0:
-            waited = sum(getattr(ep, "credit_wait_ns", 0)
-                         for ep in telemetry.endpoints)
-            stall_share = min(1.0, waited / budget)
+            stall_share = min(
+                1.0, cluster.telemetry.credit_wait_ns / budget)
         trunk = 0.0
         topology = getattr(cluster.fabric, "topology", None)
         if topology is not None and sim.now > 0:

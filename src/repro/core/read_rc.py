@@ -88,7 +88,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
         # Reserve one extra buffer per destination for the final markers.
@@ -185,7 +185,7 @@ class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
             name="validarr")
         next_buffer = 0
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             #: LocalArr: unused registered destination buffers (a stack).

@@ -97,7 +97,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.notify = Notify(self.sim)
         yield from self.provision_send_pool()
         # Small receive slots for incoming credit datagrams.
@@ -174,7 +174,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         for buf in self.pool.buffers:
             self.qp.post_recv_buffer(buf, self.config.message_size)
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.posted = per_link
         # Tiny buffers for outgoing credit datagrams; they complete fast,
         # so a small rotation per source suffices.

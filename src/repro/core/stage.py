@@ -201,7 +201,8 @@ class ShuffleStage:
 
         Destroys every Queue Pair (evicting its NIC-cached context),
         deregisters the stage's pinned memory, releases completion
-        queues, and unpublishes the endpoints from the registry — the
+        queues, unpublishes the endpoints from the registry, and folds
+        their counters into the telemetry's per-node totals — the
         per-job teardown the multi-tenant service relies on to reuse one
         cluster for a stream of jobs.  The stage must be quiesced: call
         only after the job's fragments have completed (plus a drain
@@ -210,8 +211,11 @@ class ShuffleStage:
         if self._disposed:
             return
         self._disposed = True
+        telemetry = self.fabric.telemetry
         nodes = sorted(set(self.sender_nodes) | set(self.receiver_nodes))
         for node in nodes:
+            for ep in self._node_endpoints(node):
+                telemetry.retire_endpoint(ep)
             ctx = self.fabric.verbs_contexts.get(node)
             if ctx is None:
                 continue

@@ -22,12 +22,13 @@ Submodules:
 
 * :mod:`~repro.core.transport.registry` — the endpoint-backend registry
   (kind -> send/receive class pair + transport properties).
-* :mod:`~repro.core.transport.connections` — :class:`PeerConnection`,
-  :class:`ConnectionTable`, and the RC connect loops.
+* :mod:`~repro.core.transport.connections` — :class:`PeerConnection`
+  (one per peer, in the endpoint's ``conns`` dict) and the RC connect
+  loops.
 * :mod:`~repro.core.transport.credit` — the §4.4 credit schemes as
   policy objects (credit words, credit datagrams, ring boards).
-* :mod:`~repro.core.transport.rings` — buffer pools behind
-  GETFREE/RELEASE, pending-buffer refcounts, circular-queue cursors.
+* :mod:`~repro.core.transport.rings` — registration charging,
+  pending-buffer refcounts, circular-queue cursors.
 * :mod:`~repro.core.transport.dispatch` — the completion-dispatch loop.
 * :mod:`~repro.core.transport.runtime` — endpoint base classes wiring
   it all together (the credited two-sided data path lives here).
@@ -40,7 +41,6 @@ package importable while ``endpoint`` is still initialising.
 """
 
 from repro.core.transport.connections import (
-    ConnectionTable,
     PeerConnection,
     rc_connect_receivers,
     rc_connect_senders,
@@ -54,7 +54,6 @@ from repro.core.transport.registry import (
     registered_kinds,
 )
 from repro.core.transport.rings import (
-    BufferRing,
     PendingTable,
     RingCursor,
     charge_registration,
@@ -62,9 +61,7 @@ from repro.core.transport.rings import (
 )
 
 __all__ = [
-    "BufferRing",
     "CompletionDispatcher",
-    "ConnectionTable",
     "EndpointBackend",
     "PeerConnection",
     "PendingTable",

@@ -1,23 +1,23 @@
-"""Per-peer connection state and the connection table.
+"""Per-peer connection state and the RC connect loops.
 
 Every endpoint design keeps one record per peer — the Queue Pair (or UD
 address handle) plus whatever its flow-control scheme tracks.  The four
 designs used to declare four private ``_SendConnection``/``_RecvLink``
-classes each; :class:`PeerConnection` is the single shared record, and
-:class:`ConnectionTable` the ordered per-peer container with the RC
-connect loops factored out.
+classes each; :class:`PeerConnection` is the single shared record, held
+in the endpoint's plain ``conns`` dict (SEND endpoints key it by
+destination *node* id, RECEIVE endpoints by source *endpoint* id: UD
+credit frames and one-sided queue updates carry endpoint ids).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Callable, Optional
 
 from repro.verbs.cm import EndpointRegistry, connect_rc_pair
 from repro.verbs.constants import AddressHandle
 from repro.verbs.qp import QueuePair
 
 __all__ = [
-    "ConnectionTable",
     "PeerConnection",
     "rc_connect_receivers",
     "rc_connect_senders",
@@ -65,52 +65,6 @@ class PeerConnection:
         self.received = 0
         self.expected: Optional[int] = None
         self.draining = False
-
-
-class ConnectionTable:
-    """Ordered per-peer connection records, keyed by peer id.
-
-    SEND endpoints key by destination *node* id, RECEIVE endpoints by
-    source *endpoint* id (UD credit frames and one-sided queue updates
-    carry endpoint ids, not node ids).
-    """
-
-    __slots__ = ("_conns",)
-
-    def __init__(self):
-        self._conns: Dict[Any, PeerConnection] = {}
-
-    def add(self, key: Any, conn: PeerConnection) -> PeerConnection:
-        self._conns[key] = conn
-        return conn
-
-    def __getitem__(self, key: Any) -> PeerConnection:
-        return self._conns[key]
-
-    def get(self, key: Any, default=None):
-        return self._conns.get(key, default)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._conns
-
-    def __len__(self) -> int:
-        return len(self._conns)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._conns)
-
-    def keys(self):
-        return self._conns.keys()
-
-    def values(self):
-        return self._conns.values()
-
-    def items(self):
-        return self._conns.items()
-
-    def qps(self) -> List[QueuePair]:
-        """The Queue Pairs wired into this table (Table 1 accounting)."""
-        return [c.qp for c in self._conns.values() if c.qp is not None]
 
 
 def rc_connect_senders(ep, registry: EndpointRegistry,

@@ -2,7 +2,7 @@
 
 :class:`RuntimeSendEndpoint` / :class:`RuntimeReceiveEndpoint` add the
 transport plumbing every design needs — the per-peer
-:class:`~.connections.ConnectionTable`, the in-flight
+:class:`~.connections.PeerConnection` dict, the in-flight
 :class:`~.rings.PendingTable`, and pool provisioning sized by the §4.2
 rules (sender pools scale with transmission groups, receiver pools with
 sources).
@@ -43,7 +43,7 @@ from repro.core.endpoint import (
     ReceiveEndpoint,
     SendEndpoint,
 )
-from repro.core.transport.connections import ConnectionTable, PeerConnection
+from repro.core.transport.connections import PeerConnection
 from repro.core.transport.rings import PendingTable
 
 __all__ = [
@@ -74,7 +74,7 @@ class RuntimeSendEndpoint(SendEndpoint):
         #: destination node id -> receiving endpoint id.
         self.peers = dict(peers)
         #: per-destination transport state, keyed by destination node id.
-        self.conns = ConnectionTable()
+        self.conns: Dict[int, PeerConnection] = {}
         #: buffers in flight, refcounted per destination (§5.1.3).
         self._pending = PendingTable()
         self.cq = None
@@ -190,7 +190,7 @@ class RuntimeReceiveEndpoint(ReceiveEndpoint):
         super().__init__(ctx, endpoint_id, config, sources)
         #: per-source transport state, keyed by source *endpoint* id
         #: (frames and circular-queue updates carry endpoint ids).
-        self.conns = ConnectionTable()
+        self.conns: Dict[int, PeerConnection] = {}
         self.cq = None
 
     @property

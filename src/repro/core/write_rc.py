@@ -94,7 +94,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             conn.notify = Notify(self.sim)
@@ -196,7 +196,7 @@ class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
         buffer_addrs = {}
         next_buffer = 0
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             addrs = []

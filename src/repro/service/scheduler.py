@@ -159,8 +159,9 @@ class ShuffleService:
         #: the plan each admitted job was reserved under, so admission
         #: accounting and execution cannot diverge for adaptive tenants.
         self._plans: Dict[str, StagePlan] = {}
-        self._decisions = cluster.telemetry.fabric_registry.counter(
-            "service.policy_decisions")
+        #: stage plans made so far (the ``service.policy_decisions``
+        #: metric).
+        self.policy_decisions = 0
         #: footprints reserved by admitted-but-unfinished jobs, so two
         #: concurrent admissions of one tenant cannot overshoot its cap.
         self._reserved: Dict[str, List[Footprint]] = {}
@@ -171,8 +172,11 @@ class ShuffleService:
         #: ``qp_miss`` probe (QPNs are unique across the cluster).
         self._misses_by_qpn: Dict[int, int] = {}
         cluster.fabric.probes.subscribe("qp_miss", self._count_miss)
-        cluster.telemetry.fabric_registry.register_callback(
-            "service_tenants", self._telemetry_callback)
+        telemetry = cluster.telemetry
+        telemetry.register_callback("service.policy_decisions",
+                                    lambda: self.policy_decisions)
+        telemetry.register_callback("service_tenants",
+                                    self._telemetry_callback)
 
     # -- planning & quota headroom ------------------------------------------
 
@@ -306,7 +310,7 @@ class ShuffleService:
         """Policy-decision telemetry: a counter, job metadata, and the
         ``stage_plan`` probe (a trace instant on the scheduler track
         while tracing)."""
-        self._decisions.inc()
+        self.policy_decisions += 1
         job.meta["design"] = plan.design
         job.meta["policy"] = self._policies[job.tenant.name].describe()
         hook = self.cluster.fabric.probes.stage_plan

@@ -1,16 +1,18 @@
-"""The per-cluster telemetry object: registries + tracer + harvesting.
+"""The per-cluster telemetry object: harvested counters + tracer.
 
 Design notes
 ------------
 
-Hot paths (the NIC work-request loop, the QP state machines, the
-endpoint send loop) do **not** call into the registry per event — they
-keep plain integer attributes (``nic.tx_messages += 1``), exactly as the
-seed code already did for a handful of values.  :meth:`Telemetry.snapshot`
-harvests those attributes lazily, so the instrumentation cost per event
-is one integer add regardless of whether telemetry is enabled.  The
-registries exist for control-path instruments, user extensions, and as
-the uniform output format; callback metrics bridge the two worlds.
+Every layer (the kernel, the NIC work-request loop, the QP state
+machines, the endpoint send loop) keeps plain integer attributes
+(``nic.tx_messages += 1``): one add per event, always on, no registry
+and no off mode.  :meth:`Telemetry.snapshot` harvests those attributes
+lazily, plus whatever zero-argument callbacks a control-path owner
+registered (the service's policy-decision count and tenant rollup).
+
+Endpoints register at construction and retire at stage dispose; a
+retired endpoint's counters are folded into per-node totals so the
+snapshot keeps them while the endpoint itself can be collected.
 
 To avoid import cycles this module never imports the fabric/verbs/core
 layers — harvesting is duck-typed over the objects handed to
@@ -19,10 +21,9 @@ layers — harvesting is duck-typed over the objects handed to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.telemetry.links import FlowRecorder
-from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.telemetry.trace import TraceBudget, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,78 +31,43 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Telemetry",
-    "set_enabled",
-    "is_enabled",
     "nic_cache_stats",
 ]
 
-#: global default for newly created Telemetry objects (the no-op mode).
-_ENABLED = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Set the global default mode for new :class:`Telemetry` objects.
-
-    Disabling routes all registries to the shared no-op instances and
-    stops endpoint tracking, so no per-instrument state is allocated.
-    The always-on plain counters keep counting (they cost one int add
-    each) and still appear in snapshots.
-    """
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def is_enabled() -> bool:
-    return _ENABLED
-
 
 class Telemetry:
-    """Metrics registries and a tracer for one simulated cluster.
+    """Harvested metrics and a tracer for one simulated cluster.
 
-    Owned by :class:`~repro.cluster.Cluster` (one registry per node plus
-    a fabric-wide one) and threaded through the fabric so every layer can
-    reach it as ``ctx.telemetry`` / ``fabric.telemetry``.
+    Owned by :class:`~repro.cluster.Cluster` and threaded through the
+    fabric so every layer can reach it as ``ctx.telemetry`` /
+    ``fabric.telemetry``.
     """
 
-    def __init__(self, sim: "Simulator", num_nodes: int,
-                 enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = _ENABLED
+    def __init__(self, sim: "Simulator", num_nodes: int):
         self.sim = sim
         self.num_nodes = num_nodes
-        self.enabled = enabled
         #: the live tracer; None until enable_tracing().
         self.tracer: Optional[Tracer] = None
-        if enabled:
-            self.fabric_registry = MetricsRegistry("fabric")
-            self._node_registries: Dict[int, MetricsRegistry] = {
-                i: MetricsRegistry(f"node{i}") for i in range(num_nodes)
-            }
-        else:
-            self.fabric_registry = NULL_REGISTRY
-            self._node_registries = {}
         self._fabric = None
-        self._endpoints: List[Any] = []
+        #: live endpoints by id(), in registration order.
+        self._endpoints: Dict[int, Any] = {}
+        #: node id -> ``ep.*`` totals of that node's retired endpoints.
+        self._retired: Dict[int, Dict[str, Any]] = {}
+        #: fabric-wide metrics polled at snapshot time, in registration
+        #: order.
+        self._callbacks: Dict[str, Callable[[], Any]] = {}
         #: causal link recorder (repro.obs substrate); None until
         #: enable_links().
         self.links: Optional[FlowRecorder] = None
 
-    # -- access ------------------------------------------------------------
-
     @property
-    def endpoints(self):
-        """Every endpoint registered with this telemetry object (the
-        harvest surface policies read credit-stall totals from)."""
-        return tuple(self._endpoints)
-
-    def node_registry(self, node_id: int) -> MetricsRegistry:
-        if not self.enabled:
-            return NULL_REGISTRY
-        reg = self._node_registries.get(node_id)
-        if reg is None:
-            reg = self._node_registries[node_id] = MetricsRegistry(
-                f"node{node_id}")
-        return reg
+    def credit_wait_ns(self) -> int:
+        """Time every endpoint, live or retired, spent blocked for
+        credit (the policy layer's stall signal)."""
+        retired = sum(totals.get("ep.credit_wait_ns", 0)
+                      for totals in self._retired.values())
+        return retired + sum(getattr(ep, "credit_wait_ns", 0)
+                             for ep in self._endpoints.values())
 
     # -- wiring ------------------------------------------------------------
 
@@ -115,8 +81,20 @@ class Telemetry:
 
     def register_endpoint(self, endpoint) -> None:
         """Called by endpoint constructors so stalls/skew can be harvested."""
-        if self.enabled:
-            self._endpoints.append(endpoint)
+        self._endpoints[id(endpoint)] = endpoint
+
+    def retire_endpoint(self, endpoint) -> None:
+        """Fold a disposed endpoint's counters into its node's totals and
+        drop the reference (idempotent)."""
+        if self._endpoints.pop(id(endpoint), None) is None:
+            return
+        self._fold(self._retired.setdefault(endpoint.ctx.node_id, {}),
+                   self._endpoint_counters(endpoint))
+
+    def register_callback(self, name: str, fn: Callable[[], Any]) -> None:
+        """Poll ``fn()`` at snapshot time as the fabric-wide metric
+        ``name`` (a later registration under one name replaces it)."""
+        self._callbacks[name] = fn
 
     def enable_tracing(self, max_events: int = 500_000,
                        budget: Optional[TraceBudget] = None,
@@ -195,13 +173,15 @@ class Telemetry:
                     fabric["topology.ports"] = ports
             for node in fb.nodes:
                 nodes[str(node.id)] = self._node_snapshot(node)
-        for ep in self._endpoints:
-            self._merge_endpoint(nodes.setdefault(str(ep.ctx.node_id), {}), ep)
+        for node_id, totals in self._retired.items():
+            self._fold(nodes.setdefault(str(node_id), {}), totals)
+        for ep in self._endpoints.values():
+            self._fold(nodes.setdefault(str(ep.ctx.node_id), {}),
+                       self._endpoint_counters(ep))
         for metrics in nodes.values():
             self._finish_skew(metrics)
-        fabric.update(self.fabric_registry.snapshot())
-        for node_id, reg in self._node_registries.items():
-            nodes.setdefault(str(node_id), {}).update(reg.snapshot())
+        for name, fn in self._callbacks.items():
+            fabric[name] = fn()
         return {"fabric": fabric, "nodes": nodes}
 
     def _node_snapshot(self, node) -> Dict[str, Any]:
@@ -247,26 +227,35 @@ class Telemetry:
         return out
 
     @staticmethod
-    def _merge_endpoint(metrics: Dict[str, Any], ep) -> None:
-        def add(key: str, value) -> None:
-            metrics[key] = metrics.get(key, 0) + value
-
+    def _endpoint_counters(ep) -> Dict[str, Any]:
+        """The ``ep.*`` counters of one endpoint."""
+        out: Dict[str, Any] = {}
         if hasattr(ep, "messages_sent"):  # send side
-            add("ep.messages_sent", ep.messages_sent)
-            add("ep.bytes_sent", ep.bytes_sent)
-            add("ep.credit_wait_ns", getattr(ep, "credit_wait_ns", 0))
-            add("ep.credit_stalls", getattr(ep, "credit_stalls", 0))
-            add("ep.free_wait_ns", getattr(ep, "free_wait_ns", 0))
+            out["ep.messages_sent"] = ep.messages_sent
+            out["ep.bytes_sent"] = ep.bytes_sent
+            out["ep.credit_wait_ns"] = getattr(ep, "credit_wait_ns", 0)
+            out["ep.credit_stalls"] = getattr(ep, "credit_stalls", 0)
+            out["ep.free_wait_ns"] = getattr(ep, "free_wait_ns", 0)
             by_dest = getattr(ep, "bytes_by_dest", None)
             if by_dest:
-                merged = metrics.setdefault("ep.bytes_by_dest", {})
-                for dest, nbytes in by_dest.items():
-                    key = str(dest)
-                    merged[key] = merged.get(key, 0) + nbytes
+                out["ep.bytes_by_dest"] = {
+                    str(dest): nbytes for dest, nbytes in by_dest.items()}
         if hasattr(ep, "messages_received"):  # receive side
-            add("ep.messages_received", ep.messages_received)
-            add("ep.bytes_received", ep.bytes_received)
-            add("ep.data_wait_ns", getattr(ep, "data_wait_ns", 0))
+            out["ep.messages_received"] = ep.messages_received
+            out["ep.bytes_received"] = ep.bytes_received
+            out["ep.data_wait_ns"] = getattr(ep, "data_wait_ns", 0)
+        return out
+
+    @staticmethod
+    def _fold(metrics: Dict[str, Any], counters: Dict[str, Any]) -> None:
+        """Add ``counters`` into ``metrics`` (per-key for dict values)."""
+        for key, value in counters.items():
+            if isinstance(value, dict):
+                merged = metrics.setdefault(key, {})
+                for sub, v in value.items():
+                    merged[sub] = merged.get(sub, 0) + v
+            else:
+                metrics[key] = metrics.get(key, 0) + value
 
     @staticmethod
     def _finish_skew(metrics: Dict[str, Any]) -> None:

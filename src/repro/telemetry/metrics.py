@@ -1,36 +1,17 @@
-"""Metric instruments and the per-node / fabric-wide registry.
+"""Latency-population summaries for reports and service rollups.
 
-Three instrument types cover everything the simulator needs to report:
-
-* :class:`Counter` — a monotonically increasing integer (messages sent,
-  cache misses, stall nanoseconds).
-* :class:`Gauge` — a point-in-time value that may go up or down (frames
-  in flight, queue depth).
-* :class:`Histogram` — fixed upper-bound buckets with count/sum/min/max,
-  for distributions such as credit-stall durations or message sizes.
-
-A :class:`MetricsRegistry` hands out instruments by dotted name
-(``nic.qp_cache.hits``) with get-or-create semantics, and additionally
-supports *callback* metrics: a zero-argument callable polled only at
-:meth:`MetricsRegistry.snapshot` time.  Callbacks are how hot paths stay
-cheap — the NIC, kernel and endpoints keep plain integer attributes (one
-``+=`` per event, no indirection) and the registry harvests them lazily.
-
-The global no-op mode (:data:`NULL_REGISTRY`) hands out shared inert
-instruments so instrumented code needs no ``if enabled`` branches.
+Counters are not kept here: every layer holds plain integer attributes
+(one ``+=`` per event) that :meth:`repro.telemetry.core.Telemetry.snapshot`
+harvests.  This module only summarizes a finished population of
+latencies — exact percentiles for small ones, a fixed-bucket estimate
+for large ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_NS_BUCKETS",
     "EXACT_PERCENTILE_MAX",
     "percentile",
@@ -51,8 +32,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """Exact q-quantile (``0 <= q <= 1``) with linear interpolation.
 
     Sorts a copy, so intended for small-N summaries; large populations
-    should go through a :class:`Histogram` and its
-    :meth:`Histogram.percentile` estimate instead.
+    go through the fixed-bucket estimate of :func:`latency_summary`.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -77,7 +57,7 @@ def latency_summary(values: Sequence[float],
     """count/mean/min/max plus p50/p90/p99 for a latency population.
 
     Exact (sorted) percentiles for small populations; fixed-bucket
-    interpolation via :meth:`Histogram.percentile` beyond ``exact_max``,
+    interpolation (:meth:`_Histogram.percentile`) beyond ``exact_max``,
     so summarizing millions of message latencies stays O(n).
     """
     count = len(values)
@@ -92,7 +72,7 @@ def latency_summary(values: Sequence[float],
         for q in quantiles:
             out[f"p{round(q * 100):d}"] = percentile(ordered, q)
     else:
-        hist = Histogram("latency", buckets)
+        hist = _Histogram(buckets)
         for v in values:
             hist.observe(v)
         for q in quantiles:
@@ -100,64 +80,31 @@ def latency_summary(values: Sequence[float],
     return out
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
 
 
-class Gauge:
-    """A point-in-time value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
-
-class Histogram:
-    """Fixed-bucket histogram with running count/sum/min/max.
+class _Histogram:
+    """Fixed-bucket counts with running count/min/max: the large-N
+    estimator behind :func:`latency_summary`.
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
-    catches everything larger.  Bucket counts are cumulative-free (each
-    observation lands in exactly one bucket), matching what a plotting
-    script wants.
+    catches everything larger.  Each observation lands in exactly one
+    bucket.
     """
 
-    __slots__ = ("name", "buckets", "counts", "count", "sum", "min", "max")
+    __slots__ = ("buckets", "counts", "count", "min", "max")
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_NS_BUCKETS):
+    def __init__(self, buckets: Sequence[float] = DEFAULT_NS_BUCKETS):
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError(
                 f"histogram buckets must be sorted and non-empty: {buckets}")
-        self.name = name
         self.buckets = tuple(buckets)
         self.counts = [0] * (len(self.buckets) + 1)
         self.count = 0
-        self.sum = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
+        self.min = None
+        self.max = None
 
     def observe(self, value) -> None:
         self.count += 1
-        self.sum += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -167,10 +114,6 @@ class Histogram:
                 self.counts[i] += 1
                 return
         self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
         """Estimate the q-quantile by linear interpolation inside the
@@ -202,157 +145,3 @@ class Histogram:
         hi = float(self.max)
         frac = (target - seen) / in_bucket if in_bucket else 1.0
         return lo + (hi - lo) * min(1.0, max(0.0, frac))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "buckets": {
-                **{str(b): c for b, c in zip(self.buckets, self.counts)},
-                "+Inf": self.counts[-1],
-            },
-        }
-
-
-class MetricsRegistry:
-    """Named instruments plus lazily polled callbacks.
-
-    Snapshots are flat ``{name: value}`` dicts — histograms appear as the
-    nested dict of :meth:`Histogram.to_dict` — so they serialize straight
-    to JSON.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._callbacks: Dict[str, Callable[[], Any]] = {}
-
-    # -- instrument access (get-or-create) -------------------------------
-
-    def counter(self, name: str) -> Counter:
-        inst = self._counters.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._gauges[name] = Gauge(name)
-        return inst
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_NS_BUCKETS) -> Histogram:
-        inst = self._histograms.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._histograms[name] = Histogram(name, buckets)
-        elif tuple(buckets) != inst.buckets:
-            raise ValueError(
-                f"histogram {name!r} already exists with buckets {inst.buckets}"
-            )
-        return inst
-
-    def register_callback(self, name: str, fn: Callable[[], Any]) -> None:
-        """Poll ``fn()`` at snapshot time under ``name`` (last wins)."""
-        if name in self._counters or name in self._gauges or \
-                name in self._histograms:
-            raise ValueError(f"metric {name!r} already registered")
-        self._callbacks[name] = fn
-
-    def _check_fresh(self, name: str) -> None:
-        owners = (self._counters, self._gauges, self._histograms,
-                  self._callbacks)
-        if any(name in o for o in owners):
-            raise ValueError(
-                f"metric {name!r} already registered with a different type")
-
-    # -- output ------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.value
-        for name, h in self._histograms.items():
-            out[name] = h.to_dict()
-        for name, fn in self._callbacks.items():
-            out[name] = fn()
-        return out
-
-    def reset(self) -> None:
-        """Zero all instruments (callbacks are left registered)."""
-        for c in self._counters.values():
-            c.value = 0
-        for g in self._gauges.values():
-            g.value = 0
-        for name, h in list(self._histograms.items()):
-            self._histograms[name] = Histogram(name, h.buckets)
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value) -> None:
-        pass
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """The no-op registry: every instrument it hands out discards updates.
-
-    Shared singletons keep the disabled path allocation-free; snapshots
-    are empty.
-    """
-
-    def __init__(self):
-        super().__init__("null")
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_NS_BUCKETS) -> Histogram:
-        return self._null_histogram
-
-    def register_callback(self, name: str, fn: Callable[[], Any]) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-#: the shared no-op registry used when telemetry is globally disabled.
-NULL_REGISTRY = NullRegistry()

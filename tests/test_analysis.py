@@ -350,6 +350,20 @@ class TestVS109SelfReferentialClosures:
         )
         assert lint_source("telemetry/evil.py", source) == []
 
+    def test_verbs_work_request_chain_flagged(self):
+        # The verbs layer runs every work request as a chain of nested
+        # step callbacks; a step that reschedules itself by name is the
+        # same leak as the fabric walker.
+        source = (
+            "def _rc_write(self, wr):\n"
+            "    def step():\n"
+            "        self.sim.call_at(self.sim.now + 1, step)\n"
+            "    step()\n"
+        )
+        violations = lint_source("verbs/qp.py", source)
+        assert rules_of(violations) == ["VS109"]
+        assert "references itself" in violations[0].message
+
 
 class TestVS110RawDesignDispatch:
     """PR 10 moved design selection behind the policy layer; raw

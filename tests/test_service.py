@@ -1,13 +1,17 @@
 """Tests for the multi-tenant shuffle service: quotas, admission
 policies, clamping, telemetry, and scheduler determinism."""
 
+import gc
+import hashlib
 import json
+import weakref
 
 import pytest
 
 from repro import Cluster, ClusterConfig, FDR, TransmissionGroups
 from repro.core.designs import DESIGNS
 from repro.core.endpoint import EndpointConfig
+from repro.core.policy import AdaptivePolicy
 from repro.service import (
     FairSharePolicy,
     FifoPolicy,
@@ -20,6 +24,7 @@ from repro.service import (
     estimate_footprint,
 )
 from repro.verbs import QPType
+from tests.comparable import comparable
 
 
 def make_cluster(nodes=4, threads=2, qp_cache_entries=None, network=FDR):
@@ -270,3 +275,112 @@ class TestDeterminism:
         assert first["completion_order"] == second["completion_order"]
         assert json.dumps(first["tenants"], sort_keys=True) == \
             json.dumps(second["tenants"], sort_keys=True)
+
+
+#: endpoint counter attribute -> the per-node snapshot key it sums into.
+EP_COUNTERS = {
+    "messages_sent": "ep.messages_sent",
+    "bytes_sent": "ep.bytes_sent",
+    "credit_wait_ns": "ep.credit_wait_ns",
+    "credit_stalls": "ep.credit_stalls",
+    "free_wait_ns": "ep.free_wait_ns",
+    "messages_received": "ep.messages_received",
+    "bytes_received": "ep.bytes_received",
+    "data_wait_ns": "ep.data_wait_ns",
+}
+
+#: sha256 of the canonical comparable snapshot of ``_mixed_service``,
+#: taken when endpoints were still kept alive for the whole run; folding
+#: retired endpoints into per-node totals must not move a value.
+MIXED_SERVICE_SNAPSHOT_SHA256 = (
+    "e6a099653744a6330300c1155d5a8d84bde7447a876eece562a883d727345508")
+
+
+def _mixed_service(retired=None, registered=None):
+    """Three tenants, four jobs each — an adaptive one re-planning from
+    live telemetry, a quota-capped MEMQ/SR aggressor, a SEMQ/SR one —
+    on a 64-entry QP cache.  ``retired`` collects (weakref, node,
+    counters) for every endpoint a stage disposes, and ``registered``
+    one entry per endpoint built."""
+    cluster = make_cluster(qp_cache_entries=64)
+    telemetry = cluster.telemetry
+    if retired is not None:
+        register, retire = telemetry.register_endpoint, \
+            telemetry.retire_endpoint
+
+        def count(ep):
+            registered.append(None)
+            register(ep)
+        telemetry.register_endpoint = count
+
+        def spy(ep):
+            counters = {a: getattr(ep, a) for a in EP_COUNTERS
+                        if hasattr(ep, a)}
+            counters["bytes_by_dest"] = dict(
+                getattr(ep, "bytes_by_dest", {}))
+            retired.append((weakref.ref(ep), ep.ctx.node_id, counters))
+            retire(ep)
+        telemetry.retire_endpoint = spy
+    quotas = QuotaManager()
+    quotas.set_quota("mq", max_qps=estimate_footprint(
+        "MEMQ/SR", 4, 2, num_endpoints=1).qps)
+    tenants = [
+        TenantSpec("adapt", policy=AdaptivePolicy(),
+                   bytes_per_job=256 << 10,
+                   mean_interarrival_ns=1_000_000, jobs=4),
+        TenantSpec("mq", design="MEMQ/SR", bytes_per_job=512 << 10,
+                   mean_interarrival_ns=500_000, jobs=4),
+        TenantSpec("sr", design="SEMQ/SR", bytes_per_job=256 << 10,
+                   mean_interarrival_ns=700_000, jobs=4),
+    ]
+    service, report = run_service(cluster, tenants,
+                                  policy=FairSharePolicy(), quotas=quotas,
+                                  max_concurrent=3, seed=3)
+    assert report["failed"] == []
+    return cluster, service
+
+
+class TestTelemetryRetirement:
+    """A disposed stage hands its endpoints' counters to the telemetry
+    and releases the endpoints themselves."""
+
+    def test_disposed_endpoints_are_released_and_folded(self):
+        retired, registered = [], []
+        cluster, _ = _mixed_service(retired, registered)
+        # The last UD jobs' end-of-stream drain windows are one-shot
+        # timers that still hold their endpoints; let them expire.
+        cluster.sim.run()
+        gc.collect()
+        assert len(retired) == len(registered) > 0
+        assert all(ref() is None for ref, _, _ in retired), \
+            "a disposed stage's endpoint is still reachable"
+        expected = {}
+        for _, node, counters in retired:
+            totals = expected.setdefault(str(node), {})
+            for attr, value in counters.items():
+                if attr == "bytes_by_dest":
+                    merged = totals.setdefault("ep.bytes_by_dest", {})
+                    for dest, nbytes in value.items():
+                        merged[str(dest)] = merged.get(str(dest), 0) + nbytes
+                else:
+                    key = EP_COUNTERS[attr]
+                    totals[key] = totals.get(key, 0) + value
+        snap = cluster.metrics_snapshot()
+        for node, totals in expected.items():
+            got = {k: v for k, v in snap["nodes"][node].items()
+                   if k.startswith("ep.") and k != "ep.dest_skew"}
+            assert got == totals
+        assert cluster.telemetry.credit_wait_ns == sum(
+            c.get("credit_wait_ns", 0) for _, _, c in retired) > 0
+
+    def test_snapshot_is_unchanged_by_retirement(self):
+        cluster, _ = _mixed_service()
+        snap = cluster.metrics_snapshot()
+        fabric = snap["fabric"]
+        assert fabric["service.policy_decisions"] == 12
+        assert list(fabric)[-2:] == ["service.policy_decisions",
+                                     "service_tenants"]
+        canonical = json.dumps(comparable(snap), sort_keys=True,
+                               separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == \
+            MIXED_SERVICE_SNAPSHOT_SHA256

@@ -1,4 +1,5 @@
-"""Tests for repro.telemetry: instruments, tracer, harvesting, sessions."""
+"""Tests for repro.telemetry: histogram estimator, tracer, harvesting,
+callbacks, sessions."""
 
 import json
 
@@ -7,11 +8,6 @@ import pytest
 from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
 from repro.telemetry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     TraceBudget,
     Tracer,
     current_session,
@@ -19,84 +15,47 @@ from repro.telemetry import (
     format_digest,
     nic_cache_stats,
     session,
-    set_enabled,
 )
+from repro.telemetry.core import Telemetry
+from repro.telemetry.metrics import _Histogram
 from repro.sim import Simulator
 
 MIB = 1 << 20
 
 
 class TestInstruments:
-    def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
-
-    def test_gauge(self):
-        g = Gauge("x")
-        g.set(10)
-        g.inc(3)
-        g.dec()
-        assert g.value == 12
-
     def test_histogram_buckets(self):
-        h = Histogram("x", buckets=(10, 100))
+        h = _Histogram(buckets=(10, 100))
         for v in (5, 50, 500, 7):
             h.observe(v)
-        d = h.to_dict()
-        assert d["count"] == 4
-        assert d["sum"] == 562
-        assert d["min"] == 5 and d["max"] == 500
-        assert d["buckets"] == {"10": 2, "100": 1, "+Inf": 1}
-        assert h.mean == pytest.approx(562 / 4)
+        assert h.count == 4
+        assert h.min == 5 and h.max == 500
+        assert h.counts == [2, 1, 1]
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
-            Histogram("x", buckets=(100, 10))
+            _Histogram(buckets=(100, 10))
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry("n")
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry("n")
-        reg.counter("a")
-        with pytest.raises(ValueError):
-            reg.gauge("a")
-        with pytest.raises(ValueError):
-            reg.register_callback("a", lambda: 1)
+    """``Telemetry.register_callback``: the one registration hook for
+    control-path metrics."""
 
     def test_snapshot_and_callbacks(self):
-        reg = MetricsRegistry("n")
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(7)
-        reg.histogram("h", buckets=(1,)).observe(0)
-        reg.register_callback("cb", lambda: 42)
-        snap = reg.snapshot()
-        assert snap["c"] == 2 and snap["g"] == 7 and snap["cb"] == 42
-        assert snap["h"]["count"] == 1
+        telemetry = Telemetry(Simulator(), num_nodes=2)
+        count = [0]
+        telemetry.register_callback("a.count", lambda: count[0])
+        telemetry.register_callback("b.info", lambda: {"x": 1})
+        count[0] = 3
+        snap = telemetry.snapshot()
+        # Polled at snapshot time, in registration order, after the
+        # harvested counters.
+        assert list(snap["fabric"])[-2:] == ["a.count", "b.info"]
+        assert snap["fabric"]["a.count"] == 3
+        assert snap["fabric"]["b.info"] == {"x": 1}
+        telemetry.register_callback("a.count", lambda: 7)
+        assert telemetry.snapshot()["fabric"]["a.count"] == 7
         json.dumps(snap)  # must be JSON-serializable
-
-    def test_reset(self):
-        reg = MetricsRegistry("n")
-        reg.counter("c").inc(9)
-        reg.histogram("h").observe(5)
-        reg.reset()
-        snap = reg.snapshot()
-        assert snap["c"] == 0
-        assert snap["h"]["count"] == 0
-
-    def test_null_registry_discards(self):
-        NULL_REGISTRY.counter("x").inc(100)
-        NULL_REGISTRY.gauge("y").set(1)
-        NULL_REGISTRY.histogram("z").observe(1)
-        NULL_REGISTRY.register_callback("w", lambda: 1)
-        assert NULL_REGISTRY.snapshot() == {}
 
 
 class TestTracer:
@@ -209,12 +168,7 @@ class TestIntegration:
     def test_telemetry_does_not_perturb_simulation(self):
         _, base = _small_shuffle()
         _, traced = _small_shuffle(trace=True)
-        try:
-            set_enabled(False)
-            _, disabled = _small_shuffle()
-        finally:
-            set_enabled(True)
-        assert base.elapsed_ns == traced.elapsed_ns == disabled.elapsed_ns
+        assert base.elapsed_ns == traced.elapsed_ns
 
 
 class TestSession:

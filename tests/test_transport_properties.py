@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the transport-runtime primitives.
 
 Random interleavings over the credit policies (transport/credit.py) and
-the buffer-ring bookkeeping (transport/rings.py), executed under the
+the buffer bookkeeping (transport/rings.py, the GETFREE free list), executed under the
 runtime sanitizer: whatever order posts, completions and recycles land
 in, the protocol invariants must hold and the sanitizer must stay quiet.
 """
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.credit import RingBoard, grant_credit
-from repro.core.transport.rings import BufferRing, PendingTable, RingCursor
+from repro.core.transport.rings import PendingTable, RingCursor
 from repro.memory import BufferPool
-from repro.sim import Notify, Simulator
+from repro.sim import Notify, Queue, Simulator
 from repro.verbs import Opcode, SendWR
 
 from tests.test_sanitizer_faults import rc_pair, sanitized_cluster
@@ -77,15 +77,20 @@ class TestBufferRingUnderSanitizer:
               suppress_health_check=[HealthCheck.too_slow])
     def test_random_post_drain_interleavings_stay_clean(self, ops):
         """GETFREE -> fill -> post -> poll -> RELEASE in any interleaving
-        conserves buffers and never trips a sanitizer rule."""
+        conserves buffers and never trips a sanitizer rule.
+
+        The ring is what a SEND endpoint provisions: a registered
+        BufferPool whose buffers feed a FIFO free Queue, recycled by
+        ``reset()`` + ``put`` once their completion is polled."""
         sim = Simulator()
         _, ctxs, san = sanitized_cluster(sim)
         qps, cqs = rc_pair(ctxs)
-        ring = BufferRing(ctxs[0])
-        sim.run_process(ring.provision(4, 256))
+        pool = BufferPool(ctxs[0], 4, 256)
+        free = Queue(sim)
+        for buf in pool.buffers:
+            free.put(buf)
         rpool = BufferPool(ctxs[1], len(ops) + 1, 256)
 
-        available = list(ring.pool.buffers)
         in_flight = 0
         recv_idx = 0
 
@@ -93,26 +98,30 @@ class TestBufferRingUnderSanitizer:
             nonlocal in_flight
             sim.run()
             for wc in cqs[0].poll():
-                ring.recycle(wc.wr_id)  # reset() runs under the sanitizer
-                available.append(wc.wr_id)
+                wc.wr_id.reset()  # RELEASE runs under the sanitizer
+                free.put(wc.wr_id)
                 in_flight -= 1
             cqs[1].poll()
 
         for op in ops:
-            if op == "post" and available:
-                buf = available.pop()
-                qps[1].post_recv_buffer(rpool.buffers[recv_idx], 256)
-                recv_idx += 1
-                buf.fill("x" * 8, 64)
-                qps[0].post_send(SendWR(wr_id=buf, opcode=Opcode.SEND,
-                                        buffer=buf, length=64))
-                in_flight += 1
-            elif op == "drain":
+            if op != "post":
                 drain()
+                continue
+            ok, buf = free.try_get()  # GETFREE
+            if not ok:
+                continue
+            qps[1].post_recv_buffer(rpool.buffers[recv_idx], 256)
+            recv_idx += 1
+            buf.fill("x" * 8, 64)
+            qps[0].post_send(SendWR(wr_id=buf, opcode=Opcode.SEND,
+                                    buffer=buf, length=64))
+            in_flight += 1
         drain()
 
         assert in_flight == 0
-        assert len(available) == 4, "buffer leaked or duplicated"
+        left = [free.try_get()[1] for _ in range(len(free))]
+        assert sorted(b.addr for b in left) == \
+            sorted(b.addr for b in pool.buffers), "buffer leaked or duplicated"
         assert san.violations == []
 
 
